@@ -41,10 +41,15 @@ class ThreadState(enum.Enum):
 class _BurstState:
     """Progress through an in-flight :class:`LoopAccess` op.
 
-    The op's fields are copied into slots once at creation: the engine's
-    fused burst loop re-reads them on every scheduling quantum, and many
-    workloads yield very short loops, so per-quantum attribute traffic on
-    the op would otherwise dominate.
+    ``shape`` bundles the op's constants as ``(base, stride, count,
+    repeat, work, read, write)``: the engine's scheduling loop unpacks
+    it on every quantum, and many workloads yield very short loops, so
+    one tuple unpack replaces seven attribute reads. ``index`` and
+    ``repeat`` are the progress. ``settled`` (iterations already
+    charged to the counters) and ``clock_base`` (the thread clock at
+    that point, plus any PMU overhead charged since) let the engine's
+    fused body store only the clock and the progress per quantum and
+    charge the counters in one go (see ``Engine._settle_burst``).
 
     Zero-trip loops (``count == 0`` or ``repeat == 0``) are no-ops the
     engine filters out before constructing burst state, so an in-flight
@@ -54,26 +59,27 @@ class _BurstState:
     the loop the wrong way. Enforced here, at the single choke point.
     """
 
-    __slots__ = ("op", "index", "repeat", "base", "stride", "count",
-                 "repeat_total", "work", "read", "write")
+    __slots__ = ("shape", "index", "repeat", "settled", "clock_base")
 
-    def __init__(self, op: LoopAccess):
+    def __init__(self, op: LoopAccess, clock: int = 0):
         if op.count <= 0 or op.repeat <= 0:
             raise SimulationError(
                 "burst state requires positive extents: "
                 f"count={op.count}, repeat={op.repeat} "
                 f"(zero-trip loops must be dropped before dispatch)")
-        self.op = op
+        # One iteration issues a read, then a write (when enabled).
+        self.shape = (op.base, op.stride, op.count, op.repeat, op.work,
+                      op.read, op.write)
         self.index = 0
         self.repeat = 0
-        self.base = op.base
-        self.stride = op.stride
-        self.count = op.count
-        self.repeat_total = op.repeat
-        self.work = op.work
-        # One iteration issues a read, then a write (when enabled).
-        self.read = op.read
-        self.write = op.write
+        self.settled = 0
+        self.clock_base = clock
+
+    def resync(self, clock: int) -> None:
+        """Mark the progress so far as charged by someone else (a burst
+        runner that keeps its own counters), at thread clock ``clock``."""
+        self.settled = self.repeat * self.shape[2] + self.index
+        self.clock_base = clock
 
 
 class SimThread:

@@ -1,12 +1,12 @@
 """Correctness tooling for the simulator: oracle, sanitizer, fuzzer.
 
-PR 2 doubled simulator throughput by replicating MESI, jitter and
-PMU-countdown semantics across three hand-fused hot paths
-(``Machine.access_tuple``, ``Engine._run_burst``,
-``Engine._run_burst_observed``). Every future perf PR will add more such
-kernels, and Cheetah's whole result rests on coherence-accurate
-invalidation counts — so this package is the safety net they all run
-under:
+The simulator's speed comes from replicating MESI, jitter and
+PMU-countdown semantics across hand-fused hot paths: the private-HIT
+shortcut in ``Machine.access_tuple``, the burst body inlined in
+``Engine.run``, and the vector kernel, all of which must match the
+general per-access loop (``Engine._run_burst_observed``) bit for bit.
+Cheetah's whole result rests on coherence-accurate invalidation counts,
+so this package is the safety net they all run under:
 
 - :mod:`repro.sim.check.oracle` — a slow, obviously-correct reference
   re-implementation of the MESI transition tables (per-core state

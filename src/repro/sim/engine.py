@@ -5,8 +5,11 @@ the smallest clock always executes next, and it keeps executing until its
 clock passes the next-smallest thread's clock (or it blocks/finishes).
 This yields an exact interleaving of memory accesses across cores — the
 property the cache-invalidation counts, and therefore the whole
-false-sharing phenomenon, depend on — while amortising scheduling cost
-over bursts of accesses.
+false-sharing phenomenon, depend on. Under contention that makes most
+scheduling quanta one or two accesses long, so :meth:`Engine.run` is a
+single loop with the fused burst body inlined; the general per-access
+loop (:meth:`Engine._run_burst_observed`) serves every run that must see
+each access, and is the reference the fused body matches bit for bit.
 
 The engine is also where cross-cutting instrumentation hooks in:
 
@@ -46,7 +49,7 @@ _CALLSITE_DEPTH = 5  # the paper collects five call-stack entries
 # bit-identical, so switching mid-run cannot change any output). A thread
 # whose bursts fail to batch this many consecutive resumes stops planning
 # for the rest of the run; a single call that hits this many consecutive
-# scalar escapes stops replanning per iteration and delegates its quantum.
+# scalar escapes stops replanning and hands its quantum to the fused body.
 _VECTOR_ADAPT = 64
 _VECTOR_ESCAPE_RUN = 24
 # Entries kept in the whole-burst plan cache (LRU-evicted beyond this;
@@ -152,9 +155,6 @@ class Engine:
         self._tid_counter = itertools.count()
         self._max_steps = max_steps
         self._steps = 0
-        # Next step count at which the machine's coherence pin table is
-        # swept; see the pruning block in run().
-        self._next_pin_prune = _PIN_PRUNE_INTERVAL
         self._ran = False
         # Burst kernel selection (resolved per-run in _resolve_kernel):
         # which variant ran, and the shared jitter-stream buffer the
@@ -194,77 +194,289 @@ class Engine:
 
         main = self._create_thread(main_fn, args, parent=None, start_clock=0,
                                    name="main")
-        ready: List[tuple] = [(main.clock, main.tid)]
+        # Min-clock heap of (clock, tid, thread). Two sentinels at +inf
+        # keep the root's children addressable, so the next-smallest
+        # clock is always min(ready[1], ready[2]).
+        ready: List[tuple] = [(main.clock, main.tid, main),
+                              (_INFINITY, -2, None), (_INFINITY, -1, None)]
         threads = self.threads
 
-        # The scheduling loop runs once per quantum — for tightly
-        # interleaved threads that is once per access — so everything it
-        # touches is hoisted into locals and the former _advance helper
-        # is inlined below.
+        # One loop runs every scheduling quantum. Under contention a
+        # quantum is one or two accesses, so the per-quantum cost — heap
+        # traffic, calls, the burst's local set-up and flush — is most of
+        # the simulator's host time. Everything is hoisted into locals,
+        # the fused burst body runs inline, the generator's ops are
+        # dispatched here, and the step and pin-prune counters live in
+        # locals (``self._steps`` is synced only around calls that may
+        # read or advance it).
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         checkpoints = self._checkpoints
         machine = self.machine
-        sanitizer = getattr(machine, "sanitizer", None)
+        sanitizer = machine.sanitizer
         obs = self.obs
+        pmu = self.pmu
         runnable = ThreadState.RUNNABLE
         max_steps = self._max_steps
-        resume = self._resume
-        run_burst = self._resolve_kernel()
+        dispatch = self._dispatch
+        access = self._access
+        access_tuple = machine.access_tuple
+        settle = self._settle_burst
+        word = self.config.word_size
+        vector, general = self._resolve_kernel()
+        # Machine fast-path constants for the inline burst body.
+        lines_get, line_shift, hit_cost, jitter = machine._fast_state
+        jmod = jitter + 1
+        countdown = pmu._countdown if pmu is not None else None
+        # The vector kernel is only worth a call when the quantum has
+        # room for a minimal batched span of single-access iterations.
+        vector_room = vector_kernel.MIN_SPAN * (hit_cost + jitter)
+        steps = 0
+        next_prune = _PIN_PRUNE_INTERVAL
         woken: List[SimThread] = []
 
-        while ready:
-            clock, tid = heappop(ready)
-            thread = threads[tid]
+        while True:
+            # Peek the root; it is re-seated (or popped) once, after its
+            # quantum. (clock, tid) keys are unique, so the pop order is
+            # that of pop-then-push.
+            clock, tid, thread = ready[0]
+            if thread is None:
+                break  # only the sentinels are left
             if thread.state is not runnable:
+                heappop(ready)
                 continue
             if thread.clock != clock:
-                heappush(ready, (thread.clock, tid))
+                heapreplace(ready, (thread.clock, tid, thread))
                 continue
-            while checkpoints and clock >= checkpoints[0][0]:
-                _, callback = checkpoints.pop(0)
-                callback(self, clock)
-            if self._steps >= self._next_pin_prune:
+            limit = ready[1][0]
+            if ready[2][0] < limit:
+                limit = ready[2][0]
+            if checkpoints:
+                if clock >= checkpoints[0][0]:
+                    if general is None:
+                        # Callbacks see every counter up to date.
+                        for other in threads.values():
+                            if other.burst is not None:
+                                steps += settle(other, other.burst)
+                    self._steps = steps
+                    while checkpoints and clock >= checkpoints[0][0]:
+                        _, callback = checkpoints.pop(0)
+                        callback(self, clock)
+                # A pending checkpoint also bounds the quantum: with a
+                # single runnable thread the limit is +inf, and an
+                # unbounded quantum would sail past every registered
+                # checkpoint (the callbacks would fire arbitrarily late,
+                # or never if the program ends first — the paper's
+                # Section 2.4 mid-run hook must not drop).
+                if checkpoints and checkpoints[0][0] < limit:
+                    limit = checkpoints[0][0]
+            if steps >= next_prune:
                 # ``clock`` is the scheduler's global minimum: no future
                 # access can happen earlier, so entries pinned at or
                 # before it are dead and can be dropped (bounds the
                 # pin table on long runs over many contended lines).
                 machine.prune_pins(clock)
-                self._next_pin_prune = self._steps + _PIN_PRUNE_INTERVAL
-            limit = ready[0][0] if ready else _INFINITY
-            # A pending checkpoint also bounds the quantum: with a single
-            # runnable thread ``ready`` is empty and an unbounded quantum
-            # would sail past every registered checkpoint (the callbacks
-            # would fire arbitrarily late, or never if the program ends
-            # first — the paper's Section 2.4 mid-run hook must not drop).
-            if checkpoints and checkpoints[0][0] < limit:
-                limit = checkpoints[0][0]
+                next_prune = steps + _PIN_PRUNE_INTERVAL
+
             # -- one scheduling quantum: run ``thread`` until its clock
-            # passes ``limit`` or it yields control (block/finish) --
-            while thread.clock <= limit:
-                self._steps += 1
-                if self._steps > max_steps:
-                    raise SimulationError(
-                        f"exceeded max_steps={self._max_steps}; "
-                        "likely an unbounded workload loop"
-                    )
-                if thread.burst is not None:
-                    if not run_burst(thread, limit):
+            # passes ``limit`` or it yields control (block/finish). The
+            # clock starts at or below ``limit``: it is the heap minimum,
+            # and every checkpoint at or below it has fired. --
+            while True:
+                steps += 1
+                if steps > max_steps:
+                    self._steps = steps
+                    self._raise_max_steps()
+                burst = thread.burst
+                if burst is not None:
+                    done = None
+                    if general is not None:
+                        self._steps = steps
+                        done = general(thread, limit)
+                        steps = self._steps
+                    elif vector is not None and \
+                            limit - thread.clock >= vector_room:
+                        # The vector kernel keeps its own counters; when
+                        # it cannot batch (None) the fused body below
+                        # runs on from the progress it saved.
+                        steps += settle(thread, burst)
+                        self._steps = steps
+                        done = vector(thread, limit)
+                        steps = self._steps
+                        if not done:
+                            burst.resync(thread.clock)
+                    if done is None:
+                        # -- fused burst body: the private-HIT check,
+                        # jitter, clock and PMU countdown over plain
+                        # locals, consuming the jitter stream and the
+                        # countdown in exactly the order of the general
+                        # loop, so outputs are bit-identical. Only the
+                        # clock, progress, jitter and countdown are
+                        # stored per quantum; the access, instruction
+                        # and cycle counters follow from them and are
+                        # charged by ``settle`` when the burst ends (or
+                        # before anything else looks at them). --
+                        (base, stride, count, repeats, work, do_read,
+                         do_write) = burst.shape
+                        index = burst.index
+                        repeat = burst.repeat
+                        tclock = thread.clock
+                        core = thread.core
+                        jstate = machine._jitter_state
+                        if pmu is not None:
+                            cd = countdown[tid]
+                        while tclock <= limit:
+                            if index >= count:
+                                if repeat + 1 >= repeats:
+                                    done = True
+                                    break
+                                index = 0
+                                repeat += 1
+                            addr = base + index * stride
+                            line = addr >> line_shift
+                            # One probe covers the read and the write:
+                            # LineState objects are mutated in place,
+                            # never replaced (only a first-touch slow
+                            # path creates one, after which we re-probe).
+                            state = lines_get(line)
+                            if do_read:
+                                if state is not None and \
+                                        core in state.holders:
+                                    if jitter:
+                                        jstate ^= (jstate << 13) \
+                                            & 0xFFFFFFFFFFFFFFFF
+                                        jstate ^= jstate >> 7
+                                        jstate ^= (jstate << 17) \
+                                            & 0xFFFFFFFFFFFFFFFF
+                                        latency = hit_cost + jstate % jmod
+                                    else:
+                                        latency = hit_cost
+                                else:
+                                    # Slow path: full MESI, prefetch
+                                    # and pin path. The machine counts
+                                    # the access itself and ``settle``
+                                    # counts every access: take it back.
+                                    machine._jitter_state = jstate
+                                    latency = access_tuple(
+                                        core, addr, False, tclock)[0]
+                                    jstate = machine._jitter_state
+                                    machine.total_accesses -= 1
+                                    machine.total_cycles -= latency
+                                    if state is None:
+                                        state = lines_get(line)
+                                tclock += latency
+                                if pmu is not None:
+                                    if cd > 1:
+                                        cd -= 1
+                                    else:
+                                        countdown[tid] = cd
+                                        extra = pmu.on_access(
+                                            tid, core, addr, False,
+                                            latency, word, tclock)
+                                        if extra:
+                                            tclock += extra
+                                            burst.clock_base += extra
+                                        cd = countdown[tid]
+                            if do_write:
+                                if state is not None and \
+                                        state.dirty_owner == core:
+                                    if jitter:
+                                        jstate ^= (jstate << 13) \
+                                            & 0xFFFFFFFFFFFFFFFF
+                                        jstate ^= jstate >> 7
+                                        jstate ^= (jstate << 17) \
+                                            & 0xFFFFFFFFFFFFFFFF
+                                        latency = hit_cost + jstate % jmod
+                                    else:
+                                        latency = hit_cost
+                                else:
+                                    machine._jitter_state = jstate
+                                    latency = access_tuple(
+                                        core, addr, True, tclock)[0]
+                                    jstate = machine._jitter_state
+                                    machine.total_accesses -= 1
+                                    machine.total_cycles -= latency
+                                    if state is None:
+                                        state = lines_get(line)
+                                tclock += latency
+                                if pmu is not None:
+                                    if cd > 1:
+                                        cd -= 1
+                                    else:
+                                        countdown[tid] = cd
+                                        extra = pmu.on_access(
+                                            tid, core, addr, True,
+                                            latency, word, tclock)
+                                        if extra:
+                                            tclock += extra
+                                            burst.clock_base += extra
+                                        cd = countdown[tid]
+                            if work:
+                                tclock += work
+                                if pmu is not None:
+                                    if cd > work:
+                                        cd -= work
+                                    else:
+                                        countdown[tid] = cd
+                                        extra = pmu.on_work(
+                                            tid, work, tclock)
+                                        if extra:
+                                            tclock += extra
+                                            burst.clock_base += extra
+                                        cd = countdown[tid]
+                            index += 1
+                        else:
+                            # Completed exactly at the boundary?
+                            done = index >= count and repeat + 1 >= repeats
+                        machine._jitter_state = jstate
+                        thread.clock = tclock
+                        if pmu is not None:
+                            countdown[tid] = cd
+                        burst.index = index
+                        burst.repeat = repeat
+                        if done:
+                            steps += settle(thread, burst)
+                            thread.burst = None
+                    if not done:
                         break  # burst paused at limit; stays runnable
+                    if steps > max_steps:
+                        self._steps = steps
+                        self._raise_max_steps()
                     thread.pending_value = None
-                if not resume(thread, woken):
+                try:
+                    op = thread.generator.send(thread.pending_value)
+                except StopIteration:
+                    woken.extend(self._finish_thread(thread))
+                    if thread.parent_tid is None:
+                        self._check_leaked_threads(thread)
                     break
+                thread.pending_value = None
+                kind = type(op)
+                if kind is LoopAccess:
+                    if op.count and op.repeat:
+                        thread.burst = _BurstState(op, thread.clock)
+                elif kind is Load or kind is Store:
+                    access(thread, op.addr, kind is Store, op.size)
+                elif not dispatch(thread, op, woken):
+                    break
+                if thread.clock > limit:
+                    break
+
             if thread.state is runnable:
-                heappush(ready, (thread.clock, tid))
+                heapreplace(ready, (thread.clock, tid, thread))
+            else:
+                heappop(ready)
             if woken:
                 for other in woken:
-                    heappush(ready, (other.clock, other.tid))
+                    heappush(ready, (other.clock, other.tid, other))
                 woken.clear()
             if sanitizer is not None:
                 sanitizer.note_quantum(thread)
             if obs is not None:
-                # ``clock`` is the quantum's start (the popped value).
+                # ``clock`` is the quantum's start (the peeked value).
                 obs.note_quantum(thread, clock)
+        self._steps = steps
 
         unfinished = [t for t in threads.values()
                       if t.state is not ThreadState.FINISHED]
@@ -299,37 +511,72 @@ class Engine:
                       "kernel_numpy": vector_kernel.HAVE_NUMPY},
         )
 
-    def _resolve_kernel(self):
-        """Pick the burst runner for this run (see MachineConfig.kernel).
+    def _settle_burst(self, thread: SimThread, burst: _BurstState) -> int:
+        """Charge the fused body's iterations since the burst's last
+        settle to the thread's and the machine's counters; returns how
+        many there were (simulation steps).
 
-        The vector kernel batches provably private-HIT spans without
-        routing each access through the machine entry point, so it is
-        only eligible when nothing needs to see every access: no
-        observer, no sanitizer, no obs instrumentation, and the
-        machine's private-HIT fast path itself valid (infinite caches).
-        ``auto`` silently falls back to the fused loop otherwise (which
-        in turn routes to the general per-access loop). An *explicit*
-        ``vector`` request under the sanitizer selects the checked
-        variant instead: every planned access is re-validated through
-        the sanitizer-wrapped entry point and asserted to be the HIT the
-        planner claimed — the self-test hook that catches planner bugs.
+        Every iteration issues the same accesses and work, so the access
+        and instruction counts follow from the progress alone, and the
+        access cycles from the clock: its advance since
+        ``burst.clock_base`` (which absorbs PMU overhead as it is
+        charged) less the work cycles.
+        """
+        _, _, count, _, work, do_read, do_write = burst.shape
+        progress = burst.repeat * count + burst.index
+        iters = progress - burst.settled
+        if iters:
+            accesses = (do_read + do_write) * iters
+            cycles = thread.clock - burst.clock_base - work * iters
+            thread.instructions += accesses + work * iters
+            thread.mem_accesses += accesses
+            thread.mem_cycles += cycles
+            machine = self.machine
+            machine.total_accesses += accesses
+            machine.total_cycles += cycles
+        burst.settled = progress
+        burst.clock_base = thread.clock
+        return iters
+
+    def _raise_max_steps(self) -> None:
+        raise SimulationError(
+            f"exceeded max_steps={self._max_steps} (at step {self._steps}); "
+            "likely an unbounded workload loop")
+
+    def _resolve_kernel(self):
+        """Pick this run's burst runners: ``(vector, general)``.
+
+        With ``general`` None, bursts run in the fused body inlined in
+        :meth:`run`, which is valid only when nothing needs to see every
+        access: no observer, no sanitizer, no per-access observability,
+        and the machine's private-HIT fast path itself valid (infinite
+        caches). Otherwise ``general`` runs every burst:
+        :meth:`_run_burst_observed`, the per-access loop, or — for an
+        *explicit* ``vector`` request under the sanitizer — the checked
+        vector kernel, which re-validates every planned access through
+        the sanitizer-wrapped entry point and asserts it is the HIT the
+        planner claimed (the self-test hook that catches planner bugs).
+
+        ``vector`` is the batched kernel the fused body consults first
+        (see MachineConfig.kernel): it needs the fused body's
+        conditions and no engine-level observability either; ``auto``
+        selects it whenever they hold.
         """
         machine = self.machine
         choice = getattr(self.config, "kernel", "auto")
-        clean = (self.observer is None and machine.sanitizer is None
-                 and machine.obs is None and self.obs is None
-                 and machine._fast_private)
+        fused = (self.observer is None and machine.sanitizer is None
+                 and machine.obs is None and machine._fast_private)
         if choice != "fused":
-            if clean:
+            if fused and self.obs is None:
                 self._kernel_variant = "vector"
-                return self._run_burst_vector
+                return self._run_burst_vector, None
             if (choice == "vector" and machine.sanitizer is not None
                     and self.observer is None and machine.obs is None
                     and self.obs is None and machine._fast_private):
                 self._kernel_variant = "vector-checked"
-                return self._run_burst_vector_checked
+                return None, self._run_burst_vector_checked
         self._kernel_variant = "fused"
-        return self._run_burst
+        return None, (None if fused else self._run_burst_observed)
 
     # -- thread lifecycle ------------------------------------------------------
 
@@ -379,22 +626,6 @@ class Engine:
         if self.obs is not None:
             self.obs.on_join(parent, child)
 
-    # -- the scheduling quantum -------------------------------------------------
-    # (the per-quantum advance loop is inlined in run(); see there)
-
-    def _resume(self, thread: SimThread, woken: List[SimThread]) -> bool:
-        """Resume the generator one op. Returns False when the thread
-        blocked or finished (caller must stop advancing it)."""
-        try:
-            op = thread.generator.send(thread.pending_value)
-        except StopIteration:
-            woken.extend(self._finish_thread(thread))
-            if thread.parent_tid is None:
-                self._check_leaked_threads(thread)
-            return False
-        thread.pending_value = None
-        return self._dispatch(thread, op, woken)
-
     def _check_leaked_threads(self, main: SimThread) -> None:
         live = [t for t in self.threads.values()
                 if t.state is ThreadState.RUNNABLE and t is not main]
@@ -408,16 +639,8 @@ class Engine:
 
     def _dispatch(self, thread: SimThread, op: Op,
                   woken: List[SimThread]) -> bool:
-        if type(op) is Load:
-            self._access(thread, op.addr, False, op.size)
-            return True
-        if type(op) is Store:
-            self._access(thread, op.addr, True, op.size)
-            return True
-        if type(op) is LoopAccess:
-            if op.count and op.repeat:
-                thread.burst = _BurstState(op)
-            return True
+        """Execute one op the scheduling loop does not run inline.
+        Returns False when the thread blocked."""
         if type(op) is Work:
             self._do_work(thread, op.cycles)
             return True
@@ -529,226 +752,44 @@ class Engine:
             if extra:
                 thread.clock += extra
 
-    def _run_burst(self, thread: SimThread, limit: float) -> bool:
-        """Execute burst iterations until the clock passes ``limit``.
+    def _run_burst_observed(self, thread: SimThread, limit: float) -> bool:
+        """General burst loop: every access goes through the machine's
+        (possibly instance-rebound) entry point and :meth:`_access`.
 
-        Returns True when the burst completed (the generator should be
-        resumed), False when it paused because the thread overran its
-        scheduling quantum.
-
-        This is the simulator's innermost loop: for the common case
-        (no observer) the machine's private-HIT check, the thread's
-        clock/counter updates and the PMU's sampling countdown are fused
-        into one loop over plain locals, flushed back on every exit and
-        around every slow-path call. The fused loop consumes the jitter
-        stream and the PMU countdown in exactly the same order as the
-        general path, so all outputs stay bit-identical.
+        The only burst path for observer, sanitizer, obs and
+        finite-capacity runs, and the reference the fused body in
+        :meth:`run` must match bit for bit (the fuzzer and the registry
+        parity test compare them). Returns True when the burst completed,
+        False when it paused because the clock passed ``limit``.
         """
         burst = thread.burst
         assert burst is not None
-        machine = self.machine
-        if (self.observer is not None or not machine._fast_private
-                or machine.sanitizer is not None
-                or machine.obs is not None):
-            # Sanitizer and per-access observability modes must see
-            # *every* access, so bursts take the general per-access loop
-            # (whose machine calls route through the instance-rebound
-            # entry point).
-            return self._run_burst_observed(thread, limit)
-        pmu = self.pmu
-
-        # Machine fast-path state (constants bundled at construction).
-        lines_get, line_shift, hit_cost, jitter = machine._fast_state
-        jstate = machine._jitter_state
-        m_accesses = 0  # machine counter deltas, flushed with the locals
-        m_cycles = 0
-
-        # Thread state.
-        clock = thread.clock
-        instructions = thread.instructions
-        mem_accesses = thread.mem_accesses
-        mem_cycles = thread.mem_cycles
-        steps = 0
-        core = thread.core
-        tid = thread.tid
-
-        # PMU countdown (the 127-of-128 non-sampled accesses do only the
-        # decrement here; fires go through the PMU's real entry points).
-        if pmu is not None:
-            countdown = pmu._countdown
-            cd = countdown[tid]
-
-        # Burst progress (op constants are pre-copied into burst slots).
-        index = burst.index
-        repeat = burst.repeat
-        count = burst.count
-        repeats_total = burst.repeat_total
-        base = burst.base
-        stride = burst.stride
-        work = burst.work
-        do_read = burst.read
-        do_write = burst.write
-
-        completed = False
-        try:
-            while clock <= limit:
-                if index >= count:
-                    index = 0
-                    repeat += 1
-                if repeat >= repeats_total:
-                    completed = True
-                    return True
-                addr = base + index * stride
-                steps += 1
-                line = addr >> line_shift
-                # One probe covers both the read and the write of this
-                # iteration: LineState objects are mutated in place,
-                # never replaced (only a first-touch slow path below can
-                # create one, after which we re-probe). The read and
-                # write bodies are spelled out separately so each tests
-                # its own constant-folded HIT predicate.
-                state = lines_get(line)
-                if do_read:
-                    if state is not None and core in state.holders:
-                        latency = hit_cost
-                        if jitter:
-                            jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
-                            jstate ^= jstate >> 7
-                            jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
-                            latency += jstate % (jitter + 1)
-                        m_accesses += 1
-                        m_cycles += latency
-                    else:
-                        # Slow path: flush machine state, take the full
-                        # MESI/prefetch/pin path, re-load the jitter.
-                        machine._jitter_state = jstate
-                        machine.total_accesses += m_accesses
-                        machine.total_cycles += m_cycles
-                        m_accesses = m_cycles = 0
-                        latency, _, _ = machine.access_tuple(
-                            core, addr, False, clock)
-                        jstate = machine._jitter_state
-                        if state is None:
-                            state = lines_get(line)
-                    clock += latency
-                    instructions += 1
-                    mem_accesses += 1
-                    mem_cycles += latency
-                    if pmu is not None:
-                        if cd > 1:
-                            cd -= 1
-                        else:
-                            countdown[tid] = cd
-                            extra = pmu.on_access(
-                                tid, core, addr, False, latency,
-                                self.config.word_size, clock)
-                            if extra:
-                                clock += extra
-                            cd = countdown[tid]
-                if do_write:
-                    if state is not None and state.dirty_owner == core:
-                        latency = hit_cost
-                        if jitter:
-                            jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
-                            jstate ^= jstate >> 7
-                            jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
-                            latency += jstate % (jitter + 1)
-                        m_accesses += 1
-                        m_cycles += latency
-                    else:
-                        machine._jitter_state = jstate
-                        machine.total_accesses += m_accesses
-                        machine.total_cycles += m_cycles
-                        m_accesses = m_cycles = 0
-                        latency, _, _ = machine.access_tuple(
-                            core, addr, True, clock)
-                        jstate = machine._jitter_state
-                        if state is None:
-                            state = lines_get(line)
-                    clock += latency
-                    instructions += 1
-                    mem_accesses += 1
-                    mem_cycles += latency
-                    if pmu is not None:
-                        if cd > 1:
-                            cd -= 1
-                        else:
-                            countdown[tid] = cd
-                            extra = pmu.on_access(
-                                tid, core, addr, True, latency,
-                                self.config.word_size, clock)
-                            if extra:
-                                clock += extra
-                            cd = countdown[tid]
-                if work:
-                    clock += work
-                    instructions += work
-                    if pmu is not None:
-                        if cd > work:
-                            cd -= work
-                        else:
-                            countdown[tid] = cd
-                            extra = pmu.on_work(tid, work, clock)
-                            if extra:
-                                clock += extra
-                            cd = countdown[tid]
-                index += 1
-            # Completed exactly at the boundary?
-            if index >= count and repeat + 1 >= repeats_total:
-                completed = True
-                return True
-            return False
-        finally:
-            # ``steps == 0`` means the first check completed the burst:
-            # nothing below the burst fields changed, so skip the flush.
-            if steps:
-                machine._jitter_state = jstate
-                machine.total_accesses += m_accesses
-                machine.total_cycles += m_cycles
-                thread.clock = clock
-                thread.instructions = instructions
-                thread.mem_accesses = mem_accesses
-                thread.mem_cycles = mem_cycles
-                self._steps += steps
-                if pmu is not None:
-                    countdown[tid] = cd
-            if completed:
-                thread.burst = None
-            else:
-                burst.index = index
-                burst.repeat = repeat
-
-    def _run_burst_observed(self, thread: SimThread, limit: float) -> bool:
-        """General burst loop, used whenever an observer sees every access
-        (baselines, trace recording); semantically identical to the fused
-        loop in :meth:`_run_burst`."""
-        burst = thread.burst
-        assert burst is not None
-        op = burst.op
+        base, stride, count, repeats, work, do_read, do_write = burst.shape
         word = self.config.word_size
         while thread.clock <= limit:
-            if burst.index >= op.count:
+            if burst.index >= count:
                 burst.index = 0
                 burst.repeat += 1
-            if burst.repeat >= op.repeat:
+            if burst.repeat >= repeats:
                 thread.burst = None
                 return True
-            addr = op.base + burst.index * op.stride
+            addr = base + burst.index * stride
             self._steps += 1
-            if op.read:
+            if do_read:
                 self._access(thread, addr, False, word)
-            if op.write:
+            if do_write:
                 self._access(thread, addr, True, word)
-            if op.work:
-                self._do_work(thread, op.work)
+            if work:
+                self._do_work(thread, work)
             burst.index += 1
         # Completed exactly at the boundary?
-        if burst.index >= op.count and burst.repeat + 1 >= op.repeat:
+        if burst.index >= count and burst.repeat + 1 >= repeats:
             thread.burst = None
             return True
         return False
 
-    def _run_burst_vector(self, thread: SimThread, limit: float) -> bool:
+    def _run_burst_vector(self, thread: SimThread,
+                          limit: float) -> Optional[bool]:
         """Array-batched burst kernel (see :mod:`repro.sim.kernel`).
 
         Plans how many upcoming iterations are provably private HITs
@@ -759,7 +800,11 @@ class Engine:
         extends past the next fire). Scalar escapes handle everything
         else — first touch, coherence transitions, PMU fires, quantum
         and checkpoint edges — by dropping to the existing per-access
-        paths, so every output stays bit-identical to the fused loop.
+        paths, so every output stays bit-identical to the fused body.
+
+        Returns True when the burst completed, False when it paused at
+        ``limit``, and None when it stopped batching: the burst's
+        progress is saved and the caller's fused body runs on from it.
         """
         burst = thread.burst
         assert burst is not None
@@ -770,24 +815,21 @@ class Engine:
             # multi-thread quanta): stop paying the planning preamble.
             # Outputs are bit-identical either way, so adapting is pure
             # perf policy.
-            return self._run_burst(thread, limit)
+            return None
 
+        base, stride, count, repeats_total, work, do_read, do_write = \
+            burst.shape
         index = burst.index
         repeat = burst.repeat
-        count = burst.count
-        repeats_total = burst.repeat_total
         left_total = (repeats_total - repeat) * count - index
         min_span = vector_kernel.MIN_SPAN
         # Tiny bursts: the fused scalar loop's constant factor wins;
         # batching only pays off over long spans.
         if left_total < min_span:
             miss[tid] = miss.get(tid, 0) + 1
-            return self._run_burst(thread, limit)
+            return None
 
         machine = self.machine
-        do_read = burst.read
-        do_write = burst.write
-        work = burst.work
         d = (1 if do_read else 0) + (1 if do_write else 0)
         hit_cost = machine._hit_cost
         jitter = machine._jitter
@@ -795,15 +837,13 @@ class Engine:
         # Nearly-expired quantum: not even a minimal span can fit.
         if limit is not _INFINITY and thread.clock + min_span * cost_max > limit:
             miss[tid] = miss.get(tid, 0) + 1
-            return self._run_burst(thread, limit)
+            return None
 
         pmu = self.pmu
         stream = self._jstream
         plan_span = vector_kernel.plan_span
         plan_cache = self._plan_cache
         directory = machine.directory
-        base = burst.base
-        stride = burst.stride
         core = thread.core
         word = self.config.word_size
         dec_per_iter = d + work
@@ -835,13 +875,13 @@ class Engine:
                 if k_pmu < cap:
                     cap = k_pmu
             if cap < min_span:
-                # A PMU fire or the quantum edge is imminent: run the
-                # tail through the fused scalar loop (exact fire,
+                # A PMU fire or the quantum edge is imminent: hand the
+                # tail back to the fused scalar body (exact fire,
                 # boundary and pause bookkeeping for free).
                 burst.index = index
                 burst.repeat = repeat
                 miss[tid] = miss.get(tid, 0) + 1
-                return self._run_burst(thread, limit)
+                return None
             if d:
                 # Whole-burst plan cache: once every line a burst sweeps
                 # proved private for this core, the proof stays valid
@@ -868,11 +908,11 @@ class Engine:
                 if escape_run >= _VECTOR_ESCAPE_RUN:
                     # Nothing here batches (e.g. a contended line the
                     # thread keeps losing): stop replanning per
-                    # iteration and let the fused loop run the quantum.
+                    # iteration and let the fused body run the quantum.
                     burst.index = index
                     burst.repeat = repeat
                     miss[tid] = miss.get(tid, 0) + 1
-                    return self._run_burst(thread, limit)
+                    return None
                 escape_run += 1
                 # Escape: one scalar iteration through the general
                 # per-access path (first touch, coherence transition, or
@@ -914,7 +954,7 @@ class Engine:
             if index >= count:
                 # Normalize multi-sweep advances, but keep the exact
                 # "paused at the sweep boundary" representation
-                # (index == count) the fused loop produces — boundary
+                # (index == count) the fused body produces — boundary
                 # completion below must fire on the same step it would.
                 sweeps, rem = divmod(index, count)
                 if rem == 0:
@@ -953,14 +993,8 @@ class Engine:
         plan_span = vector_kernel.plan_span
         word = self.config.word_size
         core = thread.core
-        tid = thread.tid
-        count = burst.count
-        repeats_total = burst.repeat_total
-        base = burst.base
-        stride = burst.stride
-        do_read = burst.read
-        do_write = burst.write
-        work = burst.work
+        base, stride, count, repeats_total, work, do_read, do_write = \
+            burst.shape
         d = (1 if do_read else 0) + (1 if do_write else 0)
         planned = 0
         plan_version = -1

@@ -132,9 +132,9 @@ class Machine:
         self._numa = cfg.numa_nodes > 1 and (
             cfg.remote_fetch_penalty > 0 or cfg.remote_transfer_penalty > 0)
         self.numa_penalty_cycles = 0
-        # Everything the engine's fused burst loop needs that never
-        # changes after construction, bundled so the loop's per-call
-        # setup is one attribute load and a tuple unpack.
+        # Everything the engine's fused burst body needs that never
+        # changes after construction, bundled so the engine hoists it
+        # with one attribute load and a tuple unpack per run.
         self._fast_state = (self._dirlines.get, self._line_shift,
                             self._hit_cost, self._jitter)
         self.total_accesses = 0

@@ -14,7 +14,7 @@ the program's end).
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Observer
 from repro.sim.machine import Machine
 from repro.sim.params import MachineConfig
 
@@ -157,3 +157,49 @@ class TestCheckpointApi:
         result = engine.run(main)
         assert snapshots
         assert 0 < snapshots[0] < result.threads[0].mem_accesses
+
+    @pytest.mark.parametrize("kernel", ["fused", "vector"])
+    def test_callback_counters_match_general_loop(self, kernel):
+        # The default loop charges a burst's access, instruction and
+        # cycle counters lazily; a checkpoint callback must still see
+        # exactly what the general per-access loop shows at that point.
+        from repro.pmu.sampler import PMU, PMUConfig
+
+        class Quiet(Observer):
+            def on_access(self, *args):
+                return None
+
+        def worker(api, addr):
+            yield from api.loop(addr, 4, 64, read=True, write=True,
+                                work=3, repeat=40)
+
+        def main(api):
+            buf = yield from api.malloc(256)
+            tids = []
+            for i in range(3):
+                tids.append((yield from api.spawn(worker, buf + 4 * i)))
+            yield from api.loop(buf + 128, 4, 32, repeat=200)
+            for tid in tids:
+                yield from api.join(tid)
+
+        def snapshots(observer):
+            config = MachineConfig(kernel=kernel)
+            engine = Engine(config=config, machine=Machine(config),
+                            pmu=PMU(PMUConfig(period=64)),
+                            observer=observer)
+            seen = []
+
+            def grab(e, now):
+                seen.append((now, e.machine.total_accesses,
+                             e.machine.total_cycles,
+                             sorted((t.tid, t.clock, t.instructions,
+                                     t.mem_accesses, t.mem_cycles)
+                                    for t in e.threads.values())))
+            for cycle in (3_000, 20_000, 60_000):
+                engine.add_checkpoint(cycle, grab)
+            result = engine.run(main)
+            return seen, result.steps, result.runtime
+
+        default, observed = snapshots(None), snapshots(Quiet())
+        assert len(default[0]) == 3
+        assert default == observed

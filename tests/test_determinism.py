@@ -8,8 +8,18 @@ reordering or skipped bookkeeping shows up here as a changed runtime,
 invalidation count or report.
 """
 
+import importlib.util
+from pathlib import Path
+
+import pytest
+
 from repro.run import run_workload
+from repro.sim.engine import Observer
+from repro.sim.params import MachineConfig
+from repro.workloads import iter_workloads
 from repro.workloads.phoenix import Histogram, LinearRegression
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _native_fingerprint(workload):
@@ -41,6 +51,13 @@ def _cheetah_fingerprint(workload):
         tuple((r.profile.label, r.profile.accesses,
                r.assessment.improvement) for r in report.significant),
     )
+
+
+class _NullObserver(Observer):
+    """Sees every access and charges nothing: only the loop changes."""
+
+    def on_access(self, tid, core, addr, is_write, latency, size, line):
+        return None
 
 
 class TestNativeDeterminism:
@@ -89,3 +106,36 @@ class TestFastPathMatchesGeneralPath:
         b = observed.result.machine.directory
         assert a.total_invalidations() == b.total_invalidations()
         assert native.result.total_accesses == observed.result.total_accesses
+
+    @pytest.mark.parametrize("with_cheetah", [False, True],
+                             ids=["native", "cheetah"])
+    @pytest.mark.parametrize("cls", list(iter_workloads()),
+                             ids=lambda cls: cls.name)
+    def test_default_loop_matches_observed_loop(self, cls, with_cheetah):
+        """Every registered workload, natively and under Cheetah, gives
+        the same serialized outcome on the default scheduling loop as on
+        the general per-access burst loop a zero-cost observer forces.
+        Only ``result.metadata`` may differ (it names the kernel)."""
+        def outcome(observer):
+            config = (MachineConfig(**cls.machine_defaults)
+                      if cls.machine_defaults else None)
+            data = run_workload(cls(scale=0.1), machine_config=config,
+                                with_cheetah=with_cheetah,
+                                observer=observer).to_dict()
+            del data["result"]["metadata"]
+            return data
+
+        assert outcome(None) == outcome(_NullObserver())
+
+
+class TestGoldenReference:
+    def test_matches_pinned_determinism_reference(self):
+        """``tools/determinism_ref.py`` output is pinned byte for byte:
+        an engine change that moves any runtime, step count, counter or
+        report by one unit fails here, not only in a run-twice test."""
+        spec = importlib.util.spec_from_file_location(
+            "determinism_ref", ROOT / "tools" / "determinism_ref.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        pinned = (ROOT / "tests" / "data" / "determinism_ref.json").read_text()
+        assert tool.render(tool.fingerprint_all()) == pinned

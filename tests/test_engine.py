@@ -218,6 +218,31 @@ class TestSteppingLimits:
         with pytest.raises(SimulationError):
             engine.run(main)
 
+    @pytest.mark.parametrize("kernel", ["fused", "vector"])
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["default", "observed"])
+    def test_max_steps_counts_burst_iterations(self, kernel, observed):
+        """Burst iterations are steps: one 10,000-iteration loop must
+        trip a 1,000-step bound on every burst path."""
+        def main(api):
+            yield from api.loop(0x1000, 8, 10_000)
+
+        class Quiet(Observer):
+            def on_access(self, *args):
+                return None
+
+        engine = Engine(config=MachineConfig(kernel=kernel),
+                        max_steps=1000,
+                        observer=Quiet() if observed else None)
+        with pytest.raises(SimulationError, match="max_steps=1000"):
+            engine.run(main)
+
+    def test_max_steps_allows_burst_within_bound(self):
+        def main(api):
+            yield from api.loop(0x1000, 8, 10_000)
+        result, _ = run(main, max_steps=10_002)
+        assert result.steps == 10_002
+
 
 class TestMallocFree:
     def test_malloc_returns_heap_address(self):

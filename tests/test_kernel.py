@@ -283,7 +283,8 @@ class TestVectorMutationSelftest:
 class TestBurstStateInvariants:
     def test_positive_extents_accepted(self):
         state = _BurstState(LoopAccess(0x100, 8, 4, repeat=2))
-        assert state.count == 4 and state.repeat_total == 2
+        assert state.shape == (0x100, 8, 4, 2, 0, True, True)
+        assert state.index == 0 and state.repeat == 0
 
     @pytest.mark.parametrize("count,repeat", [(0, 5), (5, 0), (0, 0)])
     def test_zero_extents_rejected(self, count, repeat):

@@ -1,13 +1,18 @@
 """Dump a deterministic fingerprint of simulation outputs.
 
 Used to verify that kernel optimisations leave every deterministic
-output bit-identical: run it before and after a change and diff the
-JSON. Not a test — the golden determinism test in
-``tests/test_determinism.py`` covers the same property in CI.
+output bit-identical. Its output is pinned in
+``tests/data/determinism_ref.json``, and
+``tests/test_determinism.py::TestGoldenReference`` fails when a change
+drifts from it. (The run-twice tests in that file only prove a build
+agrees with itself; they cannot see drift between commits.)
 
 ::
 
-    PYTHONPATH=src python tools/determinism_ref.py > /tmp/ref.json
+    PYTHONPATH=src python tools/determinism_ref.py > ref.json
+    diff ref.json tests/data/determinism_ref.json
+
+Only rewrite the pinned file when an output change is intended.
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ def fingerprint_run(name: str, *, threads: int, scale: float, seed: int,
     return entry
 
 
-def main() -> int:
+def fingerprint_all() -> dict:
+    """Every fingerprint this tool prints, keyed by run."""
     out = {}
     for name, threads in (("linear_regression", 8), ("histogram", 4),
                           ("streamcluster", 4)):
@@ -82,8 +88,16 @@ def main() -> int:
         {"threads": r.threads, "unfixed": r.unfixed_runtime,
          "fixed": r.fixed_runtime} for r in sc.rows
     ]
-    json.dump(out, sys.stdout, indent=1, sort_keys=True)
-    print()
+    return out
+
+
+def render(out: dict) -> str:
+    """The exact text the pinned reference file holds."""
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
+def main() -> int:
+    sys.stdout.write(render(fingerprint_all()))
     return 0
 
 
