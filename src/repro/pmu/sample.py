@@ -8,12 +8,14 @@ triggered the sample" (Section 2.1), plus the access latency in cycles
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MemorySample:
+class MemorySample(NamedTuple):
     """One sampled memory access.
+
+    A tuple: immutable, hashable and cheap to build positionally, which
+    matters on the replay and predict paths that build one per access.
 
     Attributes:
         tid: id of the thread that triggered the sample (samples are

@@ -162,10 +162,8 @@ class PMU:
         if delivered:
             self.memory_samples += 1
             cost = self.config.handler_cost
-            self.handler(MemorySample(
-                tid=tid, core=core, addr=addr, is_write=is_write,
-                latency=latency, size=size, timestamp=timestamp,
-            ))
+            self.handler(MemorySample(tid, core, addr, is_write, latency,
+                                      size, timestamp))
         else:
             cost = self.config.trap_cost
         self.overhead_by_tid[tid] = (self.overhead_by_tid.get(tid, 0)

@@ -211,34 +211,35 @@ class ProfileCollector(Observer):
         self.truncated = False
         self._last_touch: Dict[int, int] = {}
         self._counter = 0
+        self._on_sample = self.detector.on_sample
 
     def on_access(self, tid: int, core: int, addr: int, is_write: bool,
                   latency: int, size: int, line: int) -> None:
         counter = self._counter
-        self._counter += 1
+        self._counter = counter + 1
         in_parallel = tid != MAIN_TID
-        self.detector.on_sample(
-            MemorySample(tid=tid, core=core, addr=addr, is_write=is_write,
-                         latency=latency, size=size, timestamp=counter),
-            in_parallel)
-        last = self._last_touch.get(line)
+        self._on_sample(MemorySample(tid, core, addr, is_write, latency,
+                                     size, counter), in_parallel)
+        last_touch = self._last_touch
+        last = last_touch.get(line)
         if last is not None:
+            histogram = self.reuse_histogram
             bucket = (counter - last).bit_length()
-            self.reuse_histogram[bucket] = (
-                self.reuse_histogram.get(bucket, 0) + 1)
-        self._last_touch[line] = counter
-        profile = self.lines.get(line)
+            histogram[bucket] = histogram.get(bucket, 0) + 1
+        last_touch[line] = counter
+        lines = self.lines
+        profile = lines.get(line)
         if profile is None:
-            if len(self.lines) >= self.max_lines:
+            if len(lines) >= self.max_lines:
                 self.truncated = True
             else:
-                profile = LineProfile(line=line)
-                self.lines[line] = profile
+                profile = lines[line] = LineProfile(line=line)
         if profile is not None:
             profile.record(tid, is_write, latency)
-        if (not in_parallel
-                and len(self.serial_latencies) < _SERIAL_LATENCY_CAP):
-            self.serial_latencies.append(latency)
+        if not in_parallel:
+            serial = self.serial_latencies
+            if len(serial) < _SERIAL_LATENCY_CAP:
+                serial.append(latency)
 
     @property
     def accesses_seen(self) -> int:
@@ -326,12 +327,13 @@ def profile_from_trace(records: Iterable[TraceRecord], *,
     tid_acc: Dict[int, int] = {}
     tid_cyc: Dict[int, int] = {}
     tid_core: Dict[int, int] = {}
-    for r in records:
-        collector.on_access(r.tid, r.core, r.addr, r.is_write, r.latency,
-                            r.size, r.addr >> line_shift)
-        tid_acc[r.tid] = tid_acc.get(r.tid, 0) + 1
-        tid_cyc[r.tid] = tid_cyc.get(r.tid, 0) + r.latency
-        tid_core[r.tid] = r.core
+    on_access = collector.on_access
+    for _, tid, core, addr, is_write, latency, size in records:
+        on_access(tid, core, addr, is_write, latency, size,
+                  addr >> line_shift)
+        tid_acc[tid] = tid_acc.get(tid, 0) + 1
+        tid_cyc[tid] = tid_cyc.get(tid, 0) + latency
+        tid_core[tid] = core
     profile = AccessProfile(
         source="trace",
         threads=(threads if threads is not None

@@ -754,39 +754,99 @@ class Engine:
 
     def _run_burst_observed(self, thread: SimThread, limit: float) -> bool:
         """General burst loop: every access goes through the machine's
-        (possibly instance-rebound) entry point and :meth:`_access`.
+        (possibly instance-rebound) entry point, then the observer, then
+        the PMU, exactly as :meth:`_access` charges a single access.
 
         The only burst path for observer, sanitizer, obs and
         finite-capacity runs, and the reference the fused body in
         :meth:`run` must match bit for bit (the fuzzer and the registry
-        parity test compare them). Returns True when the burst completed,
+        parity test compare them). :meth:`_access`'s bookkeeping is
+        inlined with its callees hoisted once per call; the thread's
+        clock and counters are still written per access, because the
+        callbacks may read them. Returns True when the burst completed,
         False when it paused because the clock passed ``limit``.
         """
         burst = thread.burst
         assert burst is not None
         base, stride, count, repeats, work, do_read, do_write = burst.shape
         word = self.config.word_size
+        access_tuple = self.machine.access_tuple
+        observer = self.observer
+        if observer is not None:
+            observe = observer.on_access
+            observe_cost = observer.cost_per_access
+        pmu = self.pmu
+        if pmu is not None:
+            pmu_access = pmu.on_access
+            pmu_work = pmu.on_work
+        tid = thread.tid
+        core = thread.core
+        index = burst.index
+        repeat = burst.repeat
+        steps = self._steps
         while thread.clock <= limit:
-            if burst.index >= count:
-                burst.index = 0
-                burst.repeat += 1
-            if burst.repeat >= repeats:
-                thread.burst = None
-                return True
-            addr = base + burst.index * stride
-            self._steps += 1
+            if index >= count:
+                index = 0
+                repeat += 1
+            if repeat >= repeats:
+                done = True
+                break
+            addr = base + index * stride
+            steps += 1
             if do_read:
-                self._access(thread, addr, False, word)
+                latency, _, line = access_tuple(core, addr, False,
+                                                thread.clock)
+                thread.clock += latency
+                thread.instructions += 1
+                thread.mem_accesses += 1
+                thread.mem_cycles += latency
+                if observer is not None:
+                    extra = observe(tid, core, addr, False, latency, word,
+                                    line)
+                    thread.clock += observe_cost
+                    if extra:
+                        thread.clock += extra
+                if pmu is not None:
+                    extra = pmu_access(tid, core, addr, False, latency,
+                                       word, thread.clock)
+                    if extra:
+                        thread.clock += extra
             if do_write:
-                self._access(thread, addr, True, word)
+                latency, _, line = access_tuple(core, addr, True,
+                                                thread.clock)
+                thread.clock += latency
+                thread.instructions += 1
+                thread.mem_accesses += 1
+                thread.mem_cycles += latency
+                if observer is not None:
+                    extra = observe(tid, core, addr, True, latency, word,
+                                    line)
+                    thread.clock += observe_cost
+                    if extra:
+                        thread.clock += extra
+                if pmu is not None:
+                    extra = pmu_access(tid, core, addr, True, latency,
+                                       word, thread.clock)
+                    if extra:
+                        thread.clock += extra
             if work:
-                self._do_work(thread, work)
-            burst.index += 1
-        # Completed exactly at the boundary?
-        if burst.index >= count and burst.repeat + 1 >= repeats:
+                thread.clock += work
+                thread.instructions += work
+                if pmu is not None:
+                    extra = pmu_work(tid, work, thread.clock)
+                    if extra:
+                        thread.clock += extra
+            index += 1
+        else:
+            # Completed exactly at the boundary?
+            done = index >= count and repeat + 1 >= repeats
+        self._steps = steps
+        if done:
             thread.burst = None
-            return True
-        return False
+        else:
+            burst.index = index
+            burst.repeat = repeat
+        return done
 
     def _run_burst_vector(self, thread: SimThread,
                           limit: float) -> Optional[bool]:

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.sim.engine import Observer
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One recorded memory access."""
+class TraceRecord(NamedTuple):
+    """One recorded memory access.
+
+    A tuple: immutable, hashable and cheap to build positionally, which
+    matters because a trace holds one record per simulated access.
+    """
 
     index: int  # global access sequence number (interleaving order)
     tid: int
@@ -48,8 +50,7 @@ class TraceRecorder(Observer):
             self.truncated = True
             return
         self.records.append(TraceRecord(
-            index=index, tid=tid, core=core, addr=addr,
-            is_write=is_write, latency=latency, size=size))
+            index, tid, core, addr, is_write, latency, size))
 
     def __len__(self) -> int:
         return len(self.records)

@@ -62,14 +62,12 @@ def replay_into_detector(records: Iterable[TraceRecord],
     Returns the number of records replayed.
     """
     count = 0
-    for r in records:
-        sample = MemorySample(tid=r.tid, core=r.core, addr=r.addr,
-                              is_write=r.is_write, latency=r.latency,
-                              size=r.size, timestamp=r.index)
+    for index, tid, core, addr, is_write, latency, size in records:
         parallel = in_parallel
-        if serial_tids is not None and r.tid in serial_tids:
+        if serial_tids is not None and tid in serial_tids:
             parallel = False
-        detector.on_sample(sample, parallel)
+        detector.on_sample(MemorySample(tid, core, addr, is_write, latency,
+                                        size, index), parallel)
         count += 1
     return count
 
@@ -148,43 +146,44 @@ def replay_outcome(records: Iterable[TraceRecord],
     fraction = (true_sharing_fraction if true_sharing_fraction is not None
                 else detector.config.true_sharing_fraction)
 
-    sampler = None
+    countdown = 0
     if period is not None:
         if period < 1:
             raise ConfigError(f"replay period must be >= 1, got {period}")
         rng = random.Random(seed)
         spread = int(period * 0.25)
-        sampler = [period + (rng.randint(-spread, spread) if spread else 0)]
+        countdown = period + (rng.randint(-spread, spread) if spread else 0)
 
-    threads: Dict[int, ThreadSummary] = {}
-    count = 0
+    # Per-tid [accesses, cycles, first-seen core], in first-seen order.
+    totals: Dict[int, List[int]] = {}
+    access = machine.access_tuple
+    on_sample = detector.on_sample
     replayed = 0
-    for r in records:
-        count += 1
+    for index, tid, core, addr, is_write, latency, size in records:
         # Machine path: ground-truth coherence under the recorded config.
-        machine.access_tuple(r.core, r.addr, r.is_write, r.index)
-        summary = threads.get(r.tid)
-        if summary is None:
-            summary = ThreadSummary(
-                tid=r.tid, name=f"tid{r.tid}", core=r.core,
-                start_clock=0, end_clock=None, instructions=0,
-                mem_accesses=0, mem_cycles=0, barrier_waits=0)
-            threads[r.tid] = summary
-        summary.mem_accesses += 1
-        summary.mem_cycles += r.latency
-        summary.instructions += 1
+        access(core, addr, is_write, index)
+        total = totals.get(tid)
+        if total is None:
+            total = totals[tid] = [0, 0, core]
+        total[0] += 1
+        total[1] += latency
         # Detector path, optionally downsampled.
-        if sampler is not None:
-            sampler[0] -= 1
-            if sampler[0] > 0:
+        if period is not None:
+            countdown -= 1
+            if countdown > 0:
                 continue
-            sampler[0] = period + (rng.randint(-spread, spread)
-                                   if spread else 0)
-        sample = MemorySample(tid=r.tid, core=r.core, addr=r.addr,
-                              is_write=r.is_write, latency=r.latency,
-                              size=r.size, timestamp=r.index)
-        detector.on_sample(sample, r.tid != 0)
+            countdown = period + (rng.randint(-spread, spread)
+                                  if spread else 0)
+        on_sample(MemorySample(tid, core, addr, is_write, latency, size,
+                               index), tid != 0)
         replayed += 1
+    threads = {
+        tid: ThreadSummary(
+            tid=tid, name=f"tid{tid}", core=core, start_clock=0,
+            end_clock=None, instructions=accesses, mem_accesses=accesses,
+            mem_cycles=cycles, barrier_waits=0)
+        for tid, (accesses, cycles, core) in totals.items()}
+    count = sum(total[0] for total in totals.values())
 
     allocator, symbols = _regions_from_meta(meta)
     objects: List[Dict[str, Any]] = []

@@ -38,6 +38,8 @@ HEADERS = (HEADER_V1, HEADER_V2)
 HEADER = HEADER_V1
 
 META_PREFIX = "#meta "
+#: Access-type field -> ``is_write``.
+_ACCESS_TYPES = {"R": False, "W": True}
 
 
 class TraceFormatError(ReproError):
@@ -83,7 +85,10 @@ def load_trace(path: Union[str, Path]) -> Iterator[TraceRecord]:
     """Yield records from a trace file written by :func:`save_trace`.
 
     Accepts both v1 and v2 files; comment lines (``#``-prefixed,
-    including the v2 meta line) are skipped.
+    including the v2 meta line) are skipped. A malformed record line —
+    wrong field count, a non-integer field, or an access type other
+    than ``R``/``W`` — raises :class:`TraceFormatError` with its
+    ``path:line``.
     """
     with _open(path, "r") as fh:
         header = fh.readline().rstrip("\n")
@@ -99,15 +104,20 @@ def load_trace(path: Union[str, Path]) -> Iterator[TraceRecord]:
             if len(parts) != 7:
                 raise TraceFormatError(
                     f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
+            index, tid, core, addr, rw, latency, size = parts
+            is_write = _ACCESS_TYPES.get(rw)
+            if is_write is None:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: access type must be R or W, "
+                    f"got {rw!r}")
             try:
-                yield TraceRecord(
-                    index=int(parts[0]), tid=int(parts[1]),
-                    core=int(parts[2]), addr=int(parts[3], 16),
-                    is_write=parts[4] == "W", latency=int(parts[5]),
-                    size=int(parts[6]))
+                record = TraceRecord(int(index), int(tid), int(core),
+                                     int(addr, 16), is_write, int(latency),
+                                     int(size))
             except ValueError as exc:
                 raise TraceFormatError(
                     f"{path}:{lineno}: {exc}") from exc
+            yield record
 
 
 def load_trace_meta(path: Union[str, Path]) -> Optional[Dict[str, Any]]:

@@ -128,6 +128,100 @@ class TestFastPathMatchesGeneralPath:
         assert outcome(None) == outcome(_NullObserver())
 
 
+class _CostedObserver(Observer):
+    """Charges a flat cost per access and extra cycles on every third
+    write: both charges land before the PMU timestamps the access."""
+
+    cost_per_access = 3
+
+    def __init__(self):
+        self.writes = 0
+
+    def on_access(self, tid, core, addr, is_write, latency, size, line):
+        if is_write:
+            self.writes += 1
+            if self.writes % 3 == 0:
+                return 7
+        return None
+
+
+def _per_access_burst(self, thread, limit):
+    """The observed burst loop spelled as one :meth:`Engine._access` per
+    access and one :meth:`Engine._do_work` per work batch: the charging
+    order (machine, thread counters, observer cost and extra cycles, PMU
+    fire timestamp) the inlined loop must reproduce."""
+    burst = thread.burst
+    base, stride, count, repeats, work, do_read, do_write = burst.shape
+    word = self.config.word_size
+    while thread.clock <= limit:
+        if burst.index >= count:
+            burst.index = 0
+            burst.repeat += 1
+        if burst.repeat >= repeats:
+            thread.burst = None
+            return True
+        addr = base + burst.index * stride
+        self._steps += 1
+        if do_read:
+            self._access(thread, addr, False, word)
+        if do_write:
+            self._access(thread, addr, True, word)
+        if work:
+            self._do_work(thread, work)
+        burst.index += 1
+    if burst.index >= count and burst.repeat + 1 >= repeats:
+        thread.burst = None
+        return True
+    return False
+
+
+class TestObservedLoopChargingOrder:
+    @staticmethod
+    def _run(cls):
+        from repro.heap.allocator import CheetahAllocator
+        from repro.pmu.sampler import PMU, PMUConfig
+        from repro.run import RunOutcome
+        from repro.sim.engine import Engine
+        from repro.sim.machine import Machine
+        from repro.symbols.table import SymbolTable
+
+        workload = cls(scale=0.1)
+        symbols = SymbolTable()
+        workload.setup(symbols)
+        config = (MachineConfig(**cls.machine_defaults)
+                  if cls.machine_defaults else MachineConfig())
+        samples = []
+        pmu = PMU(PMUConfig(period=16), handler=samples.append)
+        engine = Engine(config=config,
+                        machine=Machine(config, jitter_seed=11),
+                        symbols=symbols, pmu=pmu, observer=_CostedObserver(),
+                        allocator=CheetahAllocator(
+                            line_size=config.cache_line_size))
+        result = engine.run(workload.main)
+        return RunOutcome(result=result).to_dict(), samples
+
+    @pytest.mark.parametrize("name", ["linear_regression", "histogram",
+                                      "array_increment", "seqlock_read_mostly",
+                                      "numa_ping_pong"])
+    def test_inlined_loop_matches_per_access_loop(self, name, monkeypatch):
+        """A costed observer that returns extra cycles, with the PMU
+        armed at a short period: the inlined observed loop and the
+        per-access composition give the same outcome and deliver the
+        same PMU samples at the same timestamps."""
+        from repro.sim.engine import Engine
+        from repro.workloads import get_workload
+
+        cls = get_workload(name)
+        inlined, inlined_samples = self._run(cls)
+        monkeypatch.setattr(Engine, "_run_burst_observed", _per_access_burst)
+        reference, reference_samples = self._run(cls)
+        assert inlined_samples, "the PMU delivered no samples"
+        assert inlined == reference
+        assert [s.timestamp for s in inlined_samples] == \
+            [s.timestamp for s in reference_samples]
+        assert inlined_samples == reference_samples
+
+
 class TestGoldenReference:
     def test_matches_pinned_determinism_reference(self):
         """``tools/determinism_ref.py`` output is pinned byte for byte:
@@ -138,4 +232,17 @@ class TestGoldenReference:
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
         pinned = (ROOT / "tests" / "data" / "determinism_ref.json").read_text()
+        assert tool.render(tool.fingerprint_all()) == pinned
+
+
+class TestOfflineGolden:
+    def test_matches_pinned_offline_reference(self):
+        """``tools/offline_ref.py`` output is pinned byte for byte: the
+        record -> load -> replay -> profile path and predicted runs must
+        not move when their record types or loops change."""
+        spec = importlib.util.spec_from_file_location(
+            "offline_ref", ROOT / "tools" / "offline_ref.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        pinned = (ROOT / "tests" / "data" / "offline_ref.json").read_text()
         assert tool.render(tool.fingerprint_all()) == pinned

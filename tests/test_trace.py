@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.detection import DetectorConfig, FalseSharingDetector
 from repro.run import run_workload
 from repro.heap.allocator import CheetahAllocator
+from repro.pmu.sample import MemorySample
 from repro.sim.engine import Engine
 from repro.sim.machine import Machine
 from repro.sim.params import MachineConfig
@@ -60,12 +61,15 @@ class TestStorage:
         loaded = list(load_trace(path))
         assert written == len(loaded) == len(recorder)
         assert loaded == recorder.records
+        assert all(type(r) is TraceRecord for r in loaded)
 
     def test_gzip_roundtrip(self, tmp_path):
         out, recorder = record_run(SyntheticSharing(scale=0.15))
         path = tmp_path / "run.trace.gz"
         save_trace(recorder, path)
-        assert list(load_trace(path)) == recorder.records
+        loaded = list(load_trace(path))
+        assert loaded == recorder.records
+        assert all(type(r) is TraceRecord for r in loaded)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
@@ -84,6 +88,52 @@ class TestStorage:
         path.write_text("#repro-trace v1\n1 2 3 zz W x 4\n")
         with pytest.raises(TraceFormatError):
             list(load_trace(path))
+
+    @pytest.mark.parametrize("rw", ["X", "w", "r", "RW", "1"])
+    def test_unknown_access_type_rejected(self, tmp_path, rw):
+        """Only ``R`` and ``W`` are access types: anything else is a
+        corrupt record, reported with its path and line, not a read."""
+        path = tmp_path / "bad.trace"
+        path.write_text("#repro-trace v1\n"
+                        "0 1 1 100 R 3 4\n"
+                        f"1 1 1 100 {rw} 3 4\n")
+        with pytest.raises(TraceFormatError, match=f"{path}:3: .*{rw!r}"):
+            list(load_trace(path))
+
+
+class TestRecordTypes:
+    """TraceRecord and MemorySample are plain positional records: field
+    order is part of the on-disk and detector contracts."""
+
+    RECORD_FIELDS = ("index", "tid", "core", "addr", "is_write",
+                     "latency", "size")
+    SAMPLE_FIELDS = ("tid", "core", "addr", "is_write", "latency", "size",
+                     "timestamp")
+
+    def test_field_order_pinned(self):
+        assert TraceRecord._fields == self.RECORD_FIELDS
+        assert MemorySample._fields == self.SAMPLE_FIELDS
+
+    @pytest.mark.parametrize("kind", [TraceRecord, MemorySample])
+    def test_fields_are_read_only(self, kind):
+        record = kind(*range(7))
+        for name in kind._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+
+    @pytest.mark.parametrize("kind", [TraceRecord, MemorySample])
+    def test_hashable(self, kind):
+        a, b = kind(*range(7)), kind(*range(7))
+        assert hash(a) == hash(b)
+        assert len({a, b, kind(*range(1, 8))}) == 2
+
+    def test_positional_equals_keyword(self):
+        assert TraceRecord(5, 1, 2, 0x40, True, 9, 4) == TraceRecord(
+            index=5, tid=1, core=2, addr=0x40, is_write=True, latency=9,
+            size=4)
+        assert MemorySample(1, 2, 0x40, False, 9, 4, 77) == MemorySample(
+            tid=1, core=2, addr=0x40, is_write=False, latency=9, size=4,
+            timestamp=77)
 
 
 class TestDownsample:
