@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import queue
 import threading
+import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
@@ -362,7 +363,11 @@ class Daemon:
             lambda finding: self._on_finding(job, finding))
         try:
             outcome = self.service.run(job.spec)
-        except ReproError as exc:
+        except Exception as exc:
+            # Any failure fails the job, never the worker thread. One
+            # that is not a ReproError is a bug: keep its traceback.
+            if not isinstance(exc, ReproError):
+                traceback.print_exc()
             job.finish("failed", error=f"{type(exc).__name__}: {exc}")
             self._jobs_counter.inc(label_value="failed")
             return

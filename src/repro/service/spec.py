@@ -76,6 +76,11 @@ class RunSpec:
             raise ServiceError(
                 "RunSpec.workload must be a registry name (a non-empty "
                 f"string), got {self.workload!r}")
+        if isinstance(self.jitter_seed, bool) or \
+                not isinstance(self.jitter_seed, int):
+            raise ServiceError(
+                f"RunSpec.jitter_seed must be an int, got "
+                f"{self.jitter_seed!r}")
 
     # -- hashing -------------------------------------------------------------
 

@@ -27,8 +27,6 @@ from repro.sim.engine import Engine
 from repro.sim.machine import Machine
 from repro.sim.params import MachineConfig
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 class BrokenFastPathMachine(Machine):
     """Machine with one corrupted private-HIT predicate.
@@ -51,12 +49,11 @@ class BrokenFastPathMachine(Machine):
             if state is not None and core in state.holders:
                 latency = self._hit_cost
                 if self._jitter:
-                    jstate = self._jitter_state
-                    jstate ^= (jstate << 13) & _MASK64
-                    jstate ^= jstate >> 7
-                    jstate ^= (jstate << 17) & _MASK64
-                    self._jitter_state = jstate
-                    latency += jstate % (self._jitter + 1)
+                    pos = self._jitter_pos
+                    if pos >= len(self._jitter_draws):
+                        self._jitter_stream.extend(pos + 1)
+                    latency += self._jitter_draws[pos]
+                    self._jitter_pos = pos + 1
                 self.total_accesses += 1
                 self.total_cycles += latency
                 return latency, "hit", line

@@ -9,9 +9,11 @@ its private-HIT fast path) and is then cross-checked:
    (PREFETCHED is accepted where the oracle says COLD/SHARED_CLEAN,
    since prefetching is a latency remap, not a coherence transition);
 2. **latency** — reconstructed exactly from the tag's base cost, a
-   mirrored jitter draw and the pin-table stall; any fast path that
-   skipped or double-consumed a jitter draw diverges here
-   (jitter-stream conservation);
+   jitter draw from an independent xorshift walk of the machine's seed
+   and the pin-table stall, and the machine's jitter-stream position
+   must advance by exactly one per access; any fast path that skipped
+   or double-consumed a draw, or a memoized stream that holds the wrong
+   draws, diverges here (jitter-stream conservation);
 3. **directory state** — holders, dirty owner, the exclusive-owner
    mirror map and invalidation counts must equal the oracle's, and the
    single-writer/multiple-reader invariant must hold;
@@ -52,9 +54,12 @@ class CoherenceSanitizer:
         self.machine = machine
         self.oracle = ReferenceMESI()
         self._trace = deque(maxlen=_TRACE_DEPTH)
-        # Mirror of the machine's xorshift jitter stream: advanced once
-        # per access, so a path consuming zero or two draws is caught.
-        self._mirror_jitter = machine._jitter_state
+        # Independent mirror of the machine's jitter stream: the xorshift
+        # walk from the machine's seed, advanced once per access, and the
+        # stream position the machine should be at. A path consuming
+        # zero or two draws, or a stream serving wrong draws, is caught.
+        self._mirror_jitter = machine._jitter_seed or 1
+        self._mirror_pos = machine._jitter_pos
         self._last_clock: Dict[int, int] = {}
         self.accesses_checked = 0
 
@@ -105,12 +110,13 @@ class CoherenceSanitizer:
             j ^= j >> 7
             j ^= (j << 17) & _MASK64
             self._mirror_jitter = j
+            self._mirror_pos += 1
             expected_latency += j % (machine._jitter + 1)
-        if self._mirror_jitter != machine._jitter_state:
+        if self._mirror_pos != machine._jitter_pos:
             self._fail("jitter-stream", "machine consumed a different "
                        "number of jitter draws than one per access",
-                       record, expected=self._mirror_jitter,
-                       actual=machine._jitter_state)
+                       record, expected=self._mirror_pos,
+                       actual=machine._jitter_pos)
         stall = 0
         if kind in ("coherence_read", "coherence_write", "upgrade"):
             if pinned_before > now:

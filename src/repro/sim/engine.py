@@ -156,11 +156,8 @@ class Engine:
         self._max_steps = max_steps
         self._steps = 0
         self._ran = False
-        # Burst kernel selection (resolved per-run in _resolve_kernel):
-        # which variant ran, and the shared jitter-stream buffer the
-        # vector kernel draws from (created lazily on first batched span).
+        # Burst kernel selection (resolved per-run in _resolve_kernel).
         self._kernel_variant = "fused"
-        self._jstream = None
         # Per-thread consecutive no-batch counter for the adaptive
         # vector-kernel opt-out (see _run_burst_vector).
         self._vector_miss: Dict[int, int] = {}
@@ -225,9 +222,15 @@ class Engine:
         settle = self._settle_burst
         word = self.config.word_size
         vector, general = self._resolve_kernel()
-        # Machine fast-path constants for the inline burst body.
-        lines_get, line_shift, hit_cost, jitter = machine._fast_state
-        jmod = jitter + 1
+        # Machine fast-path constants for the inline burst body. The
+        # jitter draws are read by position; ``jn`` is a lower bound on
+        # the stream's length, refreshed only when a read reaches it
+        # (the machine's slow path and other machines on the same seed
+        # may have grown the stream since).
+        lines_get, line_shift, hit_cost, jitter, jstream = \
+            machine._fast_state
+        jd = jstream.draws
+        jn = len(jd)
         countdown = pmu._countdown if pmu is not None else None
         # The vector kernel is only worth a call when the quantum has
         # room for a minimal batched span of single-access iterations.
@@ -312,8 +315,8 @@ class Engine:
                         # locals, consuming the jitter stream and the
                         # countdown in exactly the order of the general
                         # loop, so outputs are bit-identical. Only the
-                        # clock, progress, jitter and countdown are
-                        # stored per quantum; the access, instruction
+                        # clock, progress, jitter position and countdown
+                        # are stored per quantum; the access, instruction
                         # and cycle counters follow from them and are
                         # charged by ``settle`` when the burst ends (or
                         # before anything else looks at them). --
@@ -323,7 +326,7 @@ class Engine:
                         repeat = burst.repeat
                         tclock = thread.clock
                         core = thread.core
-                        jstate = machine._jitter_state
+                        jp = machine._jitter_pos
                         if pmu is not None:
                             cd = countdown[tid]
                         while tclock <= limit:
@@ -344,12 +347,10 @@ class Engine:
                                 if state is not None and \
                                         core in state.holders:
                                     if jitter:
-                                        jstate ^= (jstate << 13) \
-                                            & 0xFFFFFFFFFFFFFFFF
-                                        jstate ^= jstate >> 7
-                                        jstate ^= (jstate << 17) \
-                                            & 0xFFFFFFFFFFFFFFFF
-                                        latency = hit_cost + jstate % jmod
+                                        if jp >= jn:
+                                            jn = jstream.extend(jp + 1)
+                                        latency = hit_cost + jd[jp]
+                                        jp += 1
                                     else:
                                         latency = hit_cost
                                 else:
@@ -357,10 +358,10 @@ class Engine:
                                     # and pin path. The machine counts
                                     # the access itself and ``settle``
                                     # counts every access: take it back.
-                                    machine._jitter_state = jstate
+                                    machine._jitter_pos = jp
                                     latency = access_tuple(
                                         core, addr, False, tclock)[0]
-                                    jstate = machine._jitter_state
+                                    jp = machine._jitter_pos
                                     machine.total_accesses -= 1
                                     machine.total_cycles -= latency
                                     if state is None:
@@ -382,19 +383,17 @@ class Engine:
                                 if state is not None and \
                                         state.dirty_owner == core:
                                     if jitter:
-                                        jstate ^= (jstate << 13) \
-                                            & 0xFFFFFFFFFFFFFFFF
-                                        jstate ^= jstate >> 7
-                                        jstate ^= (jstate << 17) \
-                                            & 0xFFFFFFFFFFFFFFFF
-                                        latency = hit_cost + jstate % jmod
+                                        if jp >= jn:
+                                            jn = jstream.extend(jp + 1)
+                                        latency = hit_cost + jd[jp]
+                                        jp += 1
                                     else:
                                         latency = hit_cost
                                 else:
-                                    machine._jitter_state = jstate
+                                    machine._jitter_pos = jp
                                     latency = access_tuple(
                                         core, addr, True, tclock)[0]
-                                    jstate = machine._jitter_state
+                                    jp = machine._jitter_pos
                                     machine.total_accesses -= 1
                                     machine.total_cycles -= latency
                                     if state is None:
@@ -429,7 +428,7 @@ class Engine:
                         else:
                             # Completed exactly at the boundary?
                             done = index >= count and repeat + 1 >= repeats
-                        machine._jitter_state = jstate
+                        machine._jitter_pos = jp
                         thread.clock = tclock
                         if pmu is not None:
                             countdown[tid] = cd
@@ -855,7 +854,7 @@ class Engine:
         Plans how many upcoming iterations are provably private HITs
         (one directory probe per cache line), then charges the whole
         span in O(1): clock and counters advance arithmetically, the
-        jitter contribution comes from the precomputed stream buffer,
+        jitter contribution is the sum of the span's stored draws,
         and the PMU countdown is decremented wholesale (the plan never
         extends past the next fire). Scalar escapes handle everything
         else — first touch, coherence transitions, PMU fires, quantum
@@ -900,7 +899,6 @@ class Engine:
             return None
 
         pmu = self.pmu
-        stream = self._jstream
         plan_span = vector_kernel.plan_span
         plan_cache = self._plan_cache
         directory = machine.directory
@@ -991,12 +989,13 @@ class Engine:
             # -- charge k provably-HIT iterations as one batch --
             n_acc = d * k
             if jitter and n_acc:
-                if stream is None:
-                    stream = self._jstream = vector_kernel.JitterStream(
-                        jitter, machine._jitter_state)
-                stream.sync(machine._jitter_state)
-                jsum = stream.take_span(n_acc)
-                machine._jitter_state = stream.state_at()
+                pos = machine._jitter_pos
+                end = pos + n_acc
+                draws = machine._jitter_draws
+                if end > len(draws):
+                    machine._jitter_stream.extend(end)
+                jsum = sum(draws[pos:end])
+                machine._jitter_pos = end
             else:
                 jsum = 0
             acc_cycles = n_acc * hit_cost + jsum

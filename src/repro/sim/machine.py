@@ -10,9 +10,12 @@ assessment model consumes (Observation 2 in the paper).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.errors import ConfigError
 from repro.sim import coherence
 from repro.sim.coherence import CoherenceDirectory
 from repro.sim.params import MachineConfig
@@ -51,6 +54,69 @@ _COHERENCE_KINDS = (
 
 # Per-core window of recently fetched lines the prefetcher matches against.
 _PREFETCH_WINDOW = 8
+
+#: Fewest draws a jitter stream appends when it grows.
+_JITTER_CHUNK = 4096
+#: Jitter streams kept memoized per process (least recently used evicted).
+_JITTER_STREAMS_MAX = 8
+
+
+class JitterDraws:
+    """One seed's timing-jitter draws, memoized for the whole process.
+
+    ``draws[i]`` is ``state_i % (jitter + 1)`` as one byte, where
+    ``state_i`` is the ``i+1``-th step of the xorshift64 walk from
+    ``seed or 1``. The walk uses plain Python int operations, so
+    negative seeds and seeds of 2**64 or more keep their meaning.
+    ``draws`` only ever grows, and its identity never changes: readers
+    keep a position in it and may hoist it once. Growing takes a lock,
+    so machines in several threads may share one stream.
+    """
+
+    __slots__ = ("draws", "_mod", "_state", "_lock")
+
+    def __init__(self, state: int, jitter: int):
+        self.draws = bytearray()
+        self._mod = jitter + 1
+        self._state = state
+        self._lock = threading.Lock()
+
+    def extend(self, need: int) -> int:
+        """Grow to at least ``need`` draws; returns the new length."""
+        with self._lock:
+            draws = self.draws
+            have = len(draws)
+            if have < need:
+                mod = self._mod
+                state = self._state
+                fresh = []
+                append = fresh.append
+                for _ in range(max(need - have, _JITTER_CHUNK)):
+                    state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
+                    state ^= state >> 7
+                    state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
+                    append(state % mod)
+                draws.extend(fresh)
+                self._state = state
+            return len(draws)
+
+
+_jitter_streams: "OrderedDict[Tuple[int, int], JitterDraws]" = OrderedDict()
+_jitter_streams_lock = threading.Lock()
+
+
+def jitter_stream(seed: int, jitter: int) -> JitterDraws:
+    """The process-wide stream for ``(seed, jitter)``, created on demand."""
+    key = (seed or 1, jitter)
+    with _jitter_streams_lock:
+        stream = _jitter_streams.get(key)
+        if stream is None:
+            stream = _jitter_streams[key] = JitterDraws(*key)
+            if len(_jitter_streams) > _JITTER_STREAMS_MAX:
+                _jitter_streams.popitem(last=False)
+        else:
+            _jitter_streams.move_to_end(key)
+        return stream
 
 
 class Machine:
@@ -105,12 +171,27 @@ class Machine:
         self._prefetcher = prefetcher
         self._recent_lines: Dict[int, Dict[int, None]] = {}
         # Per-access timing noise (queueing, DRAM refresh, OoO windows):
-        # a cheap xorshift stream adding 0..timing_jitter cycles. Without
+        # one xorshift draw of 0..timing_jitter cycles per access. Without
         # it, identical threads stay in deterministic lockstep and either
         # resonate into conflict-on-every-access or drift into artificial
-        # silence — neither happens on real machines.
+        # silence — neither happens on real machines. The draws for a
+        # seed are the same in every run, so they come from one
+        # process-wide stream per seed (:func:`jitter_stream`) and the
+        # machine keeps only its position in it: ``_jitter_pos`` accesses
+        # have drawn so far.
+        if not isinstance(jitter_seed, int):
+            raise ConfigError(
+                f"jitter_seed must be an int, got {jitter_seed!r}")
+        if not isinstance(timing_jitter, int) or \
+                not 0 <= timing_jitter <= 255:
+            raise ConfigError(
+                f"timing_jitter must be an int in 0..255, got "
+                f"{timing_jitter!r}")
         self._jitter = timing_jitter
-        self._jitter_state = jitter_seed or 1
+        self._jitter_seed = jitter_seed
+        self._jitter_stream = jitter_stream(jitter_seed, timing_jitter)
+        self._jitter_draws = self._jitter_stream.draws
+        self._jitter_pos = 0
         # Coherence transfers serialize at the directory: after a line
         # moves to a new owner, contending requests from other cores queue
         # until the in-flight transfer (plus a short ownership window)
@@ -136,7 +217,8 @@ class Machine:
         # changes after construction, bundled so the engine hoists it
         # with one attribute load and a tuple unpack per run.
         self._fast_state = (self._dirlines.get, self._line_shift,
-                            self._hit_cost, self._jitter)
+                            self._hit_cost, self._jitter,
+                            self._jitter_stream)
         self.total_accesses = 0
         self.total_cycles = 0
         self.prefetch_hits = 0
@@ -195,12 +277,11 @@ class Machine:
                     else core in state.holders):
                 latency = self._hit_cost
                 if self._jitter:
-                    jstate = self._jitter_state
-                    jstate ^= (jstate << 13) & 0xFFFFFFFFFFFFFFFF
-                    jstate ^= jstate >> 7
-                    jstate ^= (jstate << 17) & 0xFFFFFFFFFFFFFFFF
-                    self._jitter_state = jstate
-                    latency += jstate % (self._jitter + 1)
+                    pos = self._jitter_pos
+                    if pos >= len(self._jitter_draws):
+                        self._jitter_stream.extend(pos + 1)
+                    latency += self._jitter_draws[pos]
+                    self._jitter_pos = pos + 1
                 self.total_accesses += 1
                 self.total_cycles += latency
                 return latency, coherence.HIT, line
@@ -228,12 +309,11 @@ class Machine:
                 latency += penalty
                 self.numa_penalty_cycles += penalty
         if self._jitter:
-            state = self._jitter_state
-            state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-            state ^= state >> 7
-            state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
-            self._jitter_state = state
-            latency += state % (self._jitter + 1)
+            pos = self._jitter_pos
+            if pos >= len(self._jitter_draws):
+                self._jitter_stream.extend(pos + 1)
+            latency += self._jitter_draws[pos]
+            self._jitter_pos = pos + 1
         if kind in _COHERENCE_KINDS:
             pinned = self._pin_until.get(line, 0)
             if pinned > now:

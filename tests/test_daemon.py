@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.errors import ConfigError, ServiceError
 from repro.request import RunRequest
+from repro.service import RunService
 from repro.service.daemon import Daemon, ServeConfig
 
 WINDOWED = RunRequest(workload="linear_regression", threads=4,
@@ -124,6 +125,46 @@ class TestJobLifecycle:
         # the daemon survives: next job is fine
         _, body, _ = client.submit(NATIVE)
         assert client.wait(body["id"])["status"] == "done"
+
+
+    @pytest.mark.parametrize("seed", [1.5, "x", True])
+    def test_malformed_jitter_seed_400_and_workers_survive(self, daemon,
+                                                           seed):
+        client = Client(daemon)
+        for body in ({"request": {"workload": "histogram", "threads": 2,
+                                  "scale": 0.2, "jitter_seed": seed}},
+                     {"spec": {"workload": "histogram",
+                               "jitter_seed": seed}}):
+            status, reply, _ = client.request("/v1/jobs", body=body)
+            assert status == 400
+            assert "jitter_seed" in reply["error"]
+        assert all(worker.is_alive() for worker in daemon._workers)
+        _, body, _ = client.submit(NATIVE)
+        assert client.wait(body["id"])["status"] == "done"
+
+    def test_unexpected_exception_fails_job_not_worker(self, tmp_path):
+        service = RunService(cache_dir=str(tmp_path / "cache"))
+
+        def explode(spec):
+            raise RuntimeError("injected failure")
+
+        service.run = explode
+        d = Daemon(ServeConfig(port=0, workers=2,
+                               sink_dir=str(tmp_path / "sink")),
+                   service=service).start()
+        try:
+            client = Client(d)
+            ids = [client.submit(RunRequest(workload="histogram", threads=2,
+                                            scale=0.2, seed=n))[1]["id"]
+                   for n in range(3)]
+            for job_id in ids:
+                job = client.wait(job_id)
+                assert job["status"] == "failed"
+                assert job["error"] == "RuntimeError: injected failure"
+            assert len(d._workers) == 2
+            assert all(worker.is_alive() for worker in d._workers)
+        finally:
+            d.shutdown()
 
 
 class TestStreamingEvents:

@@ -1,9 +1,9 @@
 """Vectorized burst kernel (`repro.sim.kernel` + engine wiring).
 
-Covers the jitter stream's exact reproduction of the machine's xorshift
-sequence, the GF(2) jump tables, the batch planner, kernel selection,
-fused-vs-vector bit-identity, the checked variant, the vector mutation
-self-test, and the `_BurstState` positivity invariant.
+Covers the batch planner, kernel selection, fused-vs-vector
+bit-identity (including the final jitter-stream position), the checked
+variant, the vector mutation self-test, and the `_BurstState`
+positivity invariant.
 """
 
 import pytest
@@ -16,98 +16,6 @@ from repro.sim.engine import Engine, Observer
 from repro.sim.machine import Machine
 from repro.sim.ops import LoopAccess
 from repro.sim.params import MachineConfig
-
-
-def scalar_draws(state, n, mod):
-    """Reference: n draws exactly as Machine.access_tuple produces them."""
-    out = []
-    for _ in range(n):
-        state = kernel.xorshift_step(state)
-        out.append(state % mod)
-    return out, state
-
-
-class TestJump:
-    def test_jump_matches_iteration(self):
-        state = 0xC0FFEE
-        walked = state
-        for n in range(0, 70):
-            assert kernel.jump(state, n) == walked
-            walked = kernel.xorshift_step(walked)
-
-    def test_jump_large(self):
-        state = 12345
-        walked = state
-        for _ in range(1000):
-            walked = kernel.xorshift_step(walked)
-        assert kernel.jump(state, 1000) == walked
-
-    def test_jump_zero_is_identity(self):
-        assert kernel.jump(0xDEAD, 0) == 0xDEAD
-
-
-class TestJitterStream:
-    MOD = 3  # timing_jitter=2
-
-    def test_take_span_matches_scalar(self):
-        anchor = 0xC0FFEE
-        stream = kernel.JitterStream(self.MOD - 1, anchor)
-        draws, end = scalar_draws(anchor, 500, self.MOD)
-        assert stream.take_span(500) == sum(draws)
-        assert stream.state_at() == end
-
-    def test_interleaved_spans_and_scalar_escapes(self):
-        # Span, then a few draws consumed scalar-side (sync must catch
-        # up inside the buffer), then another span — positions must
-        # track the single global sequence exactly.
-        anchor = 999
-        stream = kernel.JitterStream(self.MOD - 1, anchor)
-        draws, _ = scalar_draws(anchor, 2000, self.MOD)
-        consumed = 0
-        machine_state = anchor
-        for span, escape in ((100, 3), (7, 1), (650, 16), (900, 0)):
-            stream.sync(machine_state)
-            assert stream.take_span(span) == sum(
-                draws[consumed:consumed + span])
-            consumed += span
-            machine_state = stream.state_at()
-            for _ in range(escape):
-                machine_state = kernel.xorshift_step(machine_state)
-            consumed += escape
-
-    def test_sync_past_buffer_rebases(self):
-        anchor = 42
-        stream = kernel.JitterStream(self.MOD - 1, anchor)
-        stream.take_span(10)
-        # Jump the "machine" far past anything buffered.
-        far = kernel.jump(anchor, 10 + kernel._CHUNK * 4)
-        stream.sync(far)
-        assert stream.state_at() == far
-        draws, end = scalar_draws(far, 64, self.MOD)
-        assert stream.take_span(64) == sum(draws)
-        assert stream.state_at() == end
-
-    def test_compaction_keeps_sequence(self):
-        anchor = 7
-        stream = kernel.JitterStream(self.MOD - 1, anchor)
-        total = 0
-        n = kernel._COMPACT_AT * 2 + 12345
-        step = 4099
-        taken = 0
-        while taken < n:
-            k = min(step, n - taken)
-            total += stream.take_span(k)
-            taken += k
-        draws, end = scalar_draws(anchor, n, self.MOD)
-        assert total == sum(draws)
-        assert stream.state_at() == end
-
-    def test_mod_one_spans_are_zero(self):
-        # timing_jitter=0 -> every draw is state % 1 == 0.
-        stream = kernel.JitterStream(0, 0xBEEF)
-        assert stream.take_span(300) == 0
-        _, end = scalar_draws(0xBEEF, 300, 1)
-        assert stream.state_at() == end
 
 
 class TestPlanSpan:
@@ -159,7 +67,7 @@ def fingerprint(result):
     machine = result.machine
     return (result.runtime, result.steps, result.total_accesses,
             result.total_instructions, machine.total_cycles,
-            machine._jitter_state,
+            machine._jitter_pos,
             {tid: (t.clock, t.instructions, t.mem_accesses, t.mem_cycles)
              for tid, t in result.threads.items()})
 

@@ -81,7 +81,7 @@ class TestCorruptionCaught:
     def test_jitter_stream_divergence(self):
         m = machine(check=True)
         m.access_tuple(0, 0x1000, True, now=0)
-        m._jitter_state ^= 0xDEAD  # out-of-band draw / corruption
+        m._jitter_pos += 1  # out-of-band draw / corrupted position
         with pytest.raises(ValidationError) as exc:
             m.access_tuple(0, 0x1000, True, now=5)
         assert exc.value.invariant == "jitter-stream"

@@ -13,8 +13,8 @@ same machine/seed, then asserts the streaming contract:
   at least one incremental finding emitted strictly before run end.
 
 It prints one deterministic fingerprint line per workload, so CI can
-additionally diff the output of a numpy-accelerated run against a
-``REPRO_NO_NUMPY=1`` pure-python run.
+additionally diff the output of a run with numpy importable against a
+``REPRO_NO_NUMPY=1`` run.
 
 Usage::
 
