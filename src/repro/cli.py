@@ -561,8 +561,15 @@ def _replay_cache_key(args) -> str:
 
 
 def cmd_replay(args) -> int:
+    from repro.errors import ReproError
     from repro.service import ResultStore
     from repro.trace import load_trace, load_trace_meta, replay_outcome
+    try:
+        with open(args.trace_file, "rb"):
+            pass
+    except OSError as exc:
+        raise ReproError(f"cannot read trace file {args.trace_file}: "
+                         f"{exc.strerror or exc}") from None
     store = None
     outcome = None
     key = None

@@ -18,6 +18,7 @@ Typical use::
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -102,13 +103,17 @@ class CheetahProfiler:
 
     The profiler must be :meth:`attach`\\ ed to an engine *before* the run
     so it can install the sample handler and observe phase state; after
-    ``engine.run`` returns, :meth:`finalize` produces the report.
+    ``engine.run`` returns, :meth:`finalize` produces the report. The
+    profiler holds its engine weakly: the engine's PMU holds the
+    profiler's handler, and a strong reference back would make every
+    profiled run a reference cycle that only a GC pass frees. Report
+    while the engine is still referenced elsewhere.
     """
 
     def __init__(self, config: Optional[CheetahConfig] = None):
         self.config = config or CheetahConfig()
         self.detector: Optional[FalseSharingDetector] = None
-        self._engine: Optional[Engine] = None
+        self._engine: Optional[weakref.ReferenceType] = None
         # Per-thread sampled totals (Section 3.2: Accesses_t, Cycles_t).
         self._thread_accesses: Dict[int, int] = {}
         self._thread_cycles: Dict[int, int] = {}
@@ -130,7 +135,7 @@ class CheetahProfiler:
             )
         if self._engine is not None:
             raise ProfilerError("profiler is already attached")
-        self._engine = engine
+        self._engine = weakref.ref(engine)
         if self.config.detector_mode == "windowed":
             self.detector = StreamingDetector(
                 self.config.detector,
@@ -155,7 +160,7 @@ class CheetahProfiler:
         that means dropping samples outside the heap arena and the globals
         segment.
         """
-        engine = self._engine
+        engine = self._engine()
         assert engine is not None and self.detector is not None
         self._total_samples += 1
         addr = sample.addr
@@ -178,8 +183,7 @@ class CheetahProfiler:
 
     def finalize(self, result: RunResult) -> CheetahReport:
         """Assess every detected instance and build the end-of-run report."""
-        if self._engine is None or self.detector is None:
-            raise ProfilerError("profiler was never attached to an engine")
+        self._live_engine()
         if isinstance(self.detector, StreamingDetector):
             # Final sweep: emit any window that crossed its thresholds
             # in the tail of the run after the last in-band flush.
@@ -198,18 +202,25 @@ class CheetahProfiler:
                                   lambda eng, t: print(
                                       profiler.report_now(t).render()))
         """
-        if self._engine is None or self.detector is None:
-            raise ProfilerError("profiler was never attached to an engine")
-        engine = self._engine
+        engine = self._live_engine()
         if now is None:
             now = max((t.clock for t in engine.threads.values()), default=0)
         phases = engine.phase_tracker.snapshot(now)
         return self._build_report(engine.threads, phases, now,
                                   clock_floor=now)
 
+    def _live_engine(self) -> Engine:
+        if self._engine is None or self.detector is None:
+            raise ProfilerError("profiler was never attached to an engine")
+        engine = self._engine()
+        if engine is None:
+            raise ProfilerError("the profiled engine no longer exists; "
+                                "report before dropping it")
+        return engine
+
     def _build_report(self, threads, phases, runtime: int,
                       clock_floor: Optional[int] = None) -> CheetahReport:
-        engine = self._engine
+        engine = self._live_engine()
         observations = {}
         for tid, thread in threads.items():
             if thread.end_clock is not None:

@@ -38,48 +38,12 @@ class ThreadState(enum.Enum):
     FINISHED = "finished"
 
 
-class _BurstState:
-    """Progress through an in-flight :class:`LoopAccess` op.
-
-    ``shape`` bundles the op's constants as ``(base, stride, count,
-    repeat, work, read, write)``: the engine's scheduling loop unpacks
-    it on every quantum, and many workloads yield very short loops, so
-    one tuple unpack replaces seven attribute reads. ``index`` and
-    ``repeat`` are the progress. ``settled`` (iterations already
-    charged to the counters) and ``clock_base`` (the thread clock at
-    that point, plus any PMU overhead charged since) let the engine's
-    fused body store only the clock and the progress per quantum and
-    charge the counters in one go (see ``Engine._settle_burst``).
-
-    Zero-trip loops (``count == 0`` or ``repeat == 0``) are no-ops the
-    engine filters out before constructing burst state, so an in-flight
-    burst always has strictly positive extents — the burst kernels'
-    remaining-iteration arithmetic depends on it, and a negative value
-    sneaking through the engine's truthiness guard would silently run
-    the loop the wrong way. Enforced here, at the single choke point.
-    """
-
-    __slots__ = ("shape", "index", "repeat", "settled", "clock_base")
-
-    def __init__(self, op: LoopAccess, clock: int = 0):
-        if op.count <= 0 or op.repeat <= 0:
-            raise SimulationError(
-                "burst state requires positive extents: "
-                f"count={op.count}, repeat={op.repeat} "
-                f"(zero-trip loops must be dropped before dispatch)")
-        # One iteration issues a read, then a write (when enabled).
-        self.shape = (op.base, op.stride, op.count, op.repeat, op.work,
-                      op.read, op.write)
-        self.index = 0
-        self.repeat = 0
-        self.settled = 0
-        self.clock_base = clock
-
-    def resync(self, clock: int) -> None:
-        """Mark the progress so far as charged by someone else (a burst
-        runner that keeps its own counters), at thread clock ``clock``."""
-        self.settled = self.repeat * self.shape[2] + self.index
-        self.clock_base = clock
+# Slots of a thread's run record (see :class:`SimThread`). The engine's
+# scheduling loop unpacks a record in one go and spells these slots as
+# literals; everything else uses the names.
+(R_CLOCK, R_TID, R_THREAD, R_CORE, R_BASE, R_STRIDE, R_COUNT, R_REPEATS,
+ R_WORK, R_READ, R_WRITE, R_INDEX, R_REPEAT, R_SETTLED,
+ R_CLOCK_BASE) = range(15)
 
 
 class SimThread:
@@ -95,12 +59,48 @@ class SimThread:
             ``Work(n)``); this is what the PMU's sampling period counts.
         mem_accesses / mem_cycles: ground-truth totals over every access
             (the profiler never sees these — it only sees samples).
+        record: the thread's *run record*, one list allocated with the
+            thread and reused until it finishes. It is the thread's entry
+            in the engine's min-clock heap and holds its in-flight burst
+            (:class:`~repro.sim.ops.LoopAccess`) in place::
+
+                [clock, tid, thread, core,                  # heap key, owner
+                 base, stride, count, repeats, work,        # burst shape
+                 read, write,
+                 index, repeat, settled, clock_base]        # burst progress
+
+            ``count == 0`` means no burst is in flight: zero-trip loops
+            are dropped before :meth:`start_burst`, so an in-flight burst
+            has strictly positive extents. ``index``/``repeat`` are the
+            progress; ``settled`` (iterations already charged to the
+            counters) and ``clock_base`` (the thread clock at that point,
+            plus any PMU overhead charged since) let the engine's fused
+            burst body store only the clock and the progress per quantum
+            and charge the counters in one go (``Engine._settle_burst``).
+            Heap order is by ``(clock, tid)``: tids are unique, so list
+            comparison never reaches ``thread``. The engine sets
+            ``record`` to None when the thread finishes, which frees it
+            and breaks the record/thread reference cycle without
+            waiting for a GC pass.
+
+    Heap invariant: a record in the heap has ``thread.state`` RUNNABLE
+    and ``record[0] == thread.clock``. Proof: the engine pushes a record
+    only for a runnable thread, stamped with its current clock; the
+    thread with the smallest record runs, its record taken out of the
+    heap for the quantum; and only the running thread changes its own
+    clock and state. Its record goes back, re-stamped, only if it is
+    still runnable when the quantum ends. Other threads are touched only
+    while they are out of the heap: a join or a barrier changes the
+    clock and state of its waiters, which are blocked, and a spawned
+    thread is new. So the scheduler needs no stale-entry checks; check
+    mode asserts the invariant at every quantum start (only a foreign
+    write, e.g. from a checkpoint callback, can break it).
     """
 
     __slots__ = (
         "tid", "name", "core", "parent_tid", "generator", "clock",
         "start_clock", "end_clock", "state", "instructions",
-        "mem_accesses", "mem_cycles", "burst", "pending_value",
+        "mem_accesses", "mem_cycles", "record", "pending_value",
         "join_waiters", "barrier_waits",
     )
 
@@ -120,12 +120,35 @@ class SimThread:
         self.instructions = 0
         self.mem_accesses = 0
         self.mem_cycles = 0
-        self.burst: Optional[_BurstState] = None
+        self.record: Optional[List[Any]] = [
+            start_clock, tid, self, core, 0, 0, 0, 0, 0, False, False,
+            0, 0, 0, 0]
         self.pending_value: Any = None
         self.join_waiters: List["SimThread"] = []
         #: Cycles spent waiting at barriers (synchronisation wait time —
         #: what the paper's assessment does not model).
         self.barrier_waits = 0
+
+    def start_burst(self, op: LoopAccess) -> None:
+        """Write ``op``'s shape into the run record, with no progress,
+        at the current clock.
+
+        Zero-trip loops (``count == 0`` or ``repeat == 0``) are no-ops
+        the engine drops before calling this. Extents must be strictly
+        positive: the burst kernels' remaining-iteration arithmetic
+        depends on it, and a negative value sneaking through the
+        engine's truthiness guard would silently run the loop the wrong
+        way. Enforced here, at the single choke point.
+        """
+        if op.count <= 0 or op.repeat <= 0:
+            raise SimulationError(
+                "a burst requires positive extents: "
+                f"count={op.count}, repeat={op.repeat} "
+                f"(zero-trip loops must be dropped before dispatch)")
+        # One iteration issues a read, then a write (when enabled).
+        self.record[R_BASE:] = (op.base, op.stride, op.count, op.repeat,
+                                op.work, op.read, op.write, 0, 0, 0,
+                                self.clock)
 
     @property
     def runtime(self) -> int:

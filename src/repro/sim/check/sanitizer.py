@@ -19,7 +19,9 @@ its private-HIT fast path) and is then cross-checked:
    single-writer/multiple-reader invariant must hold;
 4. **pin table** — per-line pin times never move backwards;
 5. **clocks** — per-thread clocks are monotone across scheduling quanta
-   (checked by the engine via :meth:`note_quantum`);
+   (checked by the engine via :meth:`note_quantum`), and the run record
+   the scheduler takes from its heap belongs to a runnable thread and
+   carries that thread's current clock (:meth:`check_heap_root`);
 6. **PMU** — at run end, the countdown is positive for every armed
    thread and the charged overhead satisfies the conservation law
    ``setup*threads + handler*memory_samples + trap*other_fires``.
@@ -38,6 +40,7 @@ from collections import deque
 from typing import Dict, Optional
 
 from repro.errors import ValidationError
+from repro.runtime.thread import ThreadState
 from repro.sim import coherence
 from repro.sim.check.oracle import ReferenceMESI
 
@@ -177,6 +180,22 @@ class CoherenceSanitizer:
                        actual=state.invalidations)
 
     # -- engine-level checks ---------------------------------------------------
+
+    def check_heap_root(self, thread, clock) -> None:
+        """Called by the engine before each scheduling quantum with the
+        thread whose run record it just took from its heap, and the
+        record's clock: the thread must be runnable and the record must
+        carry its current clock (the invariant that lets the scheduler
+        skip stale-entry checks)."""
+        if thread.state is not ThreadState.RUNNABLE:
+            self._fail("heap-entry-state",
+                       f"thread {thread.tid} is in the ready heap but "
+                       f"{thread.state.value}", None,
+                       expected="runnable", actual=thread.state.value)
+        if thread.clock != clock:
+            self._fail("heap-entry-clock",
+                       f"thread {thread.tid}'s heap entry is stale", None,
+                       expected=clock, actual=thread.clock)
 
     def note_quantum(self, thread) -> None:
         """Called by the engine after each scheduling quantum: per-thread

@@ -11,6 +11,26 @@ single loop with the fused burst body inlined; the general per-access
 loop (:meth:`Engine._run_burst_observed`) serves every run that must see
 each access, and is the reference the fused body matches bit for bit.
 
+The scheduler's heap holds run records, not threads: one mutable list
+per thread (:attr:`SimThread.record`), reused until the thread
+finishes::
+
+    [clock, tid, thread, core,
+     base, stride, count, repeats, work, read, write,   # burst shape
+     index, repeat, settled, clock_base]                # burst progress
+
+ordered by ``(clock, tid)``. A ``LoopAccess`` op writes its shape into
+the record in place (``count == 0``: no burst in flight). The running
+thread's record is out of the heap for its quantum, so the limit is the
+heap root's clock, and a paused burst hands off with one
+``heapq.heappushpop``: the record is re-seated and the next one taken
+in a single heap operation. No entry is ever stale: a record is pushed
+only for a runnable thread with its current clock, and only the running
+thread changes its own clock or state (joins and barriers change
+waiters, which are blocked and out of the heap); see :class:`SimThread`.
+Check mode asserts this at every quantum start. A finished thread drops
+its record, which breaks the record/thread reference cycle.
+
 The engine is also where cross-cutting instrumentation hooks in:
 
 - an optional :class:`~repro.pmu.sampler.PMU` sees every access and every
@@ -33,7 +53,10 @@ from repro.errors import DeadlockError, SimulationError, ThreadError, \
     ValidationError
 from repro.heap.allocator import CheetahAllocator
 from repro.runtime.phases import PhaseTracker
-from repro.runtime.thread import SimThread, ThreadAPI, ThreadState, _BurstState
+from repro.runtime.thread import (
+    R_COUNT, R_CLOCK_BASE, R_INDEX, R_REPEAT, R_SETTLED, SimThread, ThreadAPI,
+    ThreadState,
+)
 from repro.sim import coherence, kernel as vector_kernel
 from repro.sim.machine import Machine
 from repro.sim.ops import (
@@ -191,24 +214,30 @@ class Engine:
 
         main = self._create_thread(main_fn, args, parent=None, start_clock=0,
                                    name="main")
-        # Min-clock heap of (clock, tid, thread). Two sentinels at +inf
-        # keep the root's children addressable, so the next-smallest
-        # clock is always min(ready[1], ready[2]).
-        ready: List[tuple] = [(main.clock, main.tid, main),
-                              (_INFINITY, -2, None), (_INFINITY, -1, None)]
         threads = self.threads
+        # ``rec`` is the run record (see SimThread.record) of the thread
+        # whose quantum runs; it is out of the heap meanwhile. ``ready``
+        # holds every other runnable thread's record, ordered by (clock,
+        # tid), above two sentinel records at +inf, so the quantum limit
+        # (the next-smallest clock) is always ``ready[0][0]``.
+        rec = main.record
+        rec[0] = main.clock
+        ready: List[list] = [[_INFINITY, -2, None] + [0] * 12,
+                             [_INFINITY, -1, None] + [0] * 12]
 
-        # One loop runs every scheduling quantum. Under contention a
-        # quantum is one or two accesses, so the per-quantum cost — heap
-        # traffic, calls, the burst's local set-up and flush — is most of
-        # the simulator's host time. Everything is hoisted into locals,
-        # the fused burst body runs inline, the generator's ops are
-        # dispatched here, and the step and pin-prune counters live in
-        # locals (``self._steps`` is synced only around calls that may
-        # read or advance it).
+        # One loop runs every scheduling quantum, one op-loop turn per
+        # pass. Under contention a quantum is one or two accesses, so the
+        # per-quantum cost — heap traffic, calls, the burst's set-up and
+        # flush — is most of the simulator's host time. Everything is
+        # hoisted into locals, the fused burst body runs inline, the
+        # generator's ops are dispatched here, and the step and
+        # pin-prune counters live in locals (``self._steps`` is synced
+        # only around calls that may read or advance it). Record slots
+        # are spelled as literals (``rec[11]`` is ``R_INDEX``): a global
+        # lookup per quantum costs more than the name buys.
         heappush = heapq.heappush
         heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
+        heappushpop = heapq.heappushpop
         checkpoints = self._checkpoints
         machine = self.machine
         sanitizer = machine.sanitizer
@@ -226,256 +255,332 @@ class Engine:
         # jitter draws are read by position; ``jn`` is a lower bound on
         # the stream's length, refreshed only when a read reaches it
         # (the machine's slow path and other machines on the same seed
-        # may have grown the stream since).
+        # may have grown the stream since). The stream position lives
+        # in ``jp`` for the whole run: it is written to
+        # ``machine._jitter_pos`` before every call that may access the
+        # machine (its slow path, Load/Store, the burst runners,
+        # checkpoint callbacks), read back after, and written at the
+        # end.
         lines_get, line_shift, hit_cost, jitter, jstream = \
             machine._fast_state
         jd = jstream.draws
         jn = len(jd)
+        jp = machine._jitter_pos
         countdown = pmu._countdown if pmu is not None else None
         # The vector kernel is only worth a call when the quantum has
         # room for a minimal batched span of single-access iterations.
-        vector_room = vector_kernel.MIN_SPAN * (hit_cost + jitter)
+        vector_room = (vector_kernel.MIN_SPAN * (hit_cost + jitter)
+                       if vector is not None else _INFINITY)
         steps = 0
         next_prune = _PIN_PRUNE_INTERVAL
+        # A quantum takes the lean path while ``steps`` is below this:
+        # no pin prune or max_steps raise is due and no checkpoint is
+        # pending. -1 while checkpoints remain or ``general`` runs the
+        # bursts.
+        lean_steps = (min(next_prune, max_steps)
+                      if general is None and not checkpoints else -1)
+        carry = False  # the running quantum goes on for another turn
         woken: List[SimThread] = []
 
         while True:
-            # Peek the root; it is re-seated (or popped) once, after its
-            # quantum. (clock, tid) keys are unique, so the pop order is
-            # that of pop-then-push.
-            clock, tid, thread = ready[0]
-            if thread is None:
-                break  # only the sentinels are left
-            if thread.state is not runnable:
-                heappop(ready)
-                continue
-            if thread.clock != clock:
-                heapreplace(ready, (thread.clock, tid, thread))
-                continue
-            limit = ready[1][0]
-            if ready[2][0] < limit:
-                limit = ready[2][0]
-            if checkpoints:
-                if clock >= checkpoints[0][0]:
-                    if general is None:
-                        # Callbacks see every counter up to date.
-                        for other in threads.values():
-                            if other.burst is not None:
-                                steps += settle(other, other.burst)
-                    self._steps = steps
-                    while checkpoints and clock >= checkpoints[0][0]:
-                        _, callback = checkpoints.pop(0)
-                        callback(self, clock)
-                # A pending checkpoint also bounds the quantum: with a
-                # single runnable thread the limit is +inf, and an
-                # unbounded quantum would sail past every registered
-                # checkpoint (the callbacks would fire arbitrarily late,
-                # or never if the program ends first — the paper's
-                # Section 2.4 mid-run hook must not drop).
-                if checkpoints and checkpoints[0][0] < limit:
-                    limit = checkpoints[0][0]
-            if steps >= next_prune:
-                # ``clock`` is the scheduler's global minimum: no future
-                # access can happen earlier, so entries pinned at or
-                # before it are dead and can be dropped (bounds the
-                # pin table on long runs over many contended lines).
-                machine.prune_pins(clock)
-                next_prune = steps + _PIN_PRUNE_INTERVAL
-
-            # -- one scheduling quantum: run ``thread`` until its clock
-            # passes ``limit`` or it yields control (block/finish). The
-            # clock starts at or below ``limit``: it is the heap minimum,
-            # and every checkpoint at or below it has fired. --
-            while True:
-                steps += 1
-                if steps > max_steps:
-                    self._steps = steps
-                    self._raise_max_steps()
-                burst = thread.burst
-                if burst is not None:
+            if carry:
+                carry = done = False
+            else:
+                # -- a new quantum: run ``thread`` until its clock passes
+                # ``limit`` or it yields control (block/finish). The
+                # clock starts at or below ``limit``: it is the heap
+                # minimum, and every checkpoint at or below it has
+                # fired. --
+                (clock, tid, thread, core, base, stride, count, repeats,
+                 work, do_read, do_write, index, repeat, settled,
+                 clock_base) = rec
+                limit = ready[0][0]
+                if count and steps < lean_steps and \
+                        limit - clock < vector_room:
+                    # Lean path: the thread is mid-burst and nothing is
+                    # due at the boundary, so the turn goes straight to
+                    # the fused body (whose first step cannot reach
+                    # max_steps).
                     done = None
+                else:
+                    if thread is None:
+                        break  # only the sentinels are left
+                    if sanitizer is not None:
+                        # The heap invariant (see SimThread) rules out
+                        # stale entries; check mode asserts it.
+                        sanitizer.check_heap_root(thread, clock)
+                    if checkpoints:
+                        if clock >= checkpoints[0][0]:
+                            if general is None:
+                                # Callbacks see every counter up to date.
+                                for other in threads.values():
+                                    orec = other.record
+                                    if orec is not None and orec[6]:
+                                        steps += settle(orec)
+                                settled = rec[13]
+                                clock_base = rec[14]
+                            self._steps = steps
+                            machine._jitter_pos = jp
+                            while checkpoints and \
+                                    clock >= checkpoints[0][0]:
+                                _, callback = checkpoints.pop(0)
+                                callback(self, clock)
+                            jp = machine._jitter_pos
+                        # A pending checkpoint also bounds the quantum:
+                        # with a single runnable thread the limit is
+                        # +inf, and an unbounded quantum would sail past
+                        # every registered checkpoint (the callbacks
+                        # would fire arbitrarily late, or never if the
+                        # program ends first — the paper's Section 2.4
+                        # mid-run hook must not drop).
+                        if checkpoints:
+                            if checkpoints[0][0] < limit:
+                                limit = checkpoints[0][0]
+                        elif general is None:
+                            lean_steps = min(next_prune, max_steps)
+                    if steps >= next_prune:
+                        # ``clock`` is the scheduler's global minimum: no
+                        # future access can happen earlier, so entries
+                        # pinned at or before it are dead and can be
+                        # dropped (bounds the pin table on long runs over
+                        # many contended lines).
+                        machine.prune_pins(clock)
+                        next_prune = steps + _PIN_PRUNE_INTERVAL
+                        if lean_steps >= 0:
+                            lean_steps = min(next_prune, max_steps)
+                    if steps >= max_steps:
+                        self._steps = steps + 1
+                        self._raise_max_steps()
+                    done = False  # a burst's runner is still to pick
+                steps += 1
+
+            # -- one turn: the in-flight burst, if any, then (once no
+            # burst is in flight) the next op. The turn's step is
+            # counted above. --
+            if count:
+                if done is not None:
+                    # Pick the runner: ``general`` (runs every burst),
+                    # the vector kernel (when the quantum has room for
+                    # it), or the fused body (``done`` None).
                     if general is not None:
                         self._steps = steps
-                        done = general(thread, limit)
+                        machine._jitter_pos = jp
+                        done = general(rec, limit)
+                        jp = machine._jitter_pos
                         steps = self._steps
                     elif vector is not None and \
                             limit - thread.clock >= vector_room:
                         # The vector kernel keeps its own counters; when
                         # it cannot batch (None) the fused body below
                         # runs on from the progress it saved.
-                        steps += settle(thread, burst)
+                        steps += settle(rec)
                         self._steps = steps
-                        done = vector(thread, limit)
+                        machine._jitter_pos = jp
+                        done = vector(rec, limit)
+                        jp = machine._jitter_pos
                         steps = self._steps
                         if not done:
-                            burst.resync(thread.clock)
-                    if done is None:
-                        # -- fused burst body: the private-HIT check,
-                        # jitter, clock and PMU countdown over plain
-                        # locals, consuming the jitter stream and the
-                        # countdown in exactly the order of the general
-                        # loop, so outputs are bit-identical. Only the
-                        # clock, progress, jitter position and countdown
-                        # are stored per quantum; the access, instruction
-                        # and cycle counters follow from them and are
-                        # charged by ``settle`` when the burst ends (or
-                        # before anything else looks at them). --
-                        (base, stride, count, repeats, work, do_read,
-                         do_write) = burst.shape
-                        index = burst.index
-                        repeat = burst.repeat
-                        tclock = thread.clock
-                        core = thread.core
-                        jp = machine._jitter_pos
-                        if pmu is not None:
-                            cd = countdown[tid]
-                        while tclock <= limit:
-                            if index >= count:
-                                if repeat + 1 >= repeats:
-                                    done = True
-                                    break
-                                index = 0
-                                repeat += 1
-                            addr = base + index * stride
-                            line = addr >> line_shift
-                            # One probe covers the read and the write:
-                            # LineState objects are mutated in place,
-                            # never replaced (only a first-touch slow
-                            # path creates one, after which we re-probe).
-                            state = lines_get(line)
-                            if do_read:
-                                if state is not None and \
-                                        core in state.holders:
-                                    if jitter:
-                                        if jp >= jn:
-                                            jn = jstream.extend(jp + 1)
-                                        latency = hit_cost + jd[jp]
-                                        jp += 1
-                                    else:
-                                        latency = hit_cost
+                            index = rec[11]
+                            repeat = rec[12]
+                            settled = rec[13] = repeat * count + index
+                            clock_base = rec[14] = thread.clock
+                    else:
+                        done = None
+                if done is None:
+                    # -- fused burst body: the private-HIT check, jitter,
+                    # clock and PMU countdown over plain locals,
+                    # consuming the jitter stream and the countdown in
+                    # exactly the order of the general loop, so outputs
+                    # are bit-identical. Only the clock, progress and
+                    # countdown are stored per quantum; the access,
+                    # instruction and cycle counters follow from them and
+                    # are charged when the burst ends (or by ``settle``
+                    # before anything else looks at them). --
+                    tclock = thread.clock
+                    if pmu is not None:
+                        cd = countdown[tid]
+                    while tclock <= limit:
+                        if index >= count:
+                            if repeat + 1 >= repeats:
+                                done = True
+                                break
+                            index = 0
+                            repeat += 1
+                        addr = base + index * stride
+                        line = addr >> line_shift
+                        # One probe covers the read and the write:
+                        # LineState objects are mutated in place, never
+                        # replaced (only a first-touch slow path creates
+                        # one, after which we re-probe).
+                        state = lines_get(line)
+                        if do_read:
+                            if state is not None and core in state.holders:
+                                if jitter:
+                                    if jp >= jn:
+                                        jn = jstream.extend(jp + 1)
+                                    latency = hit_cost + jd[jp]
+                                    jp += 1
                                 else:
-                                    # Slow path: full MESI, prefetch
-                                    # and pin path. The machine counts
-                                    # the access itself and ``settle``
-                                    # counts every access: take it back.
-                                    machine._jitter_pos = jp
-                                    latency = access_tuple(
-                                        core, addr, False, tclock)[0]
-                                    jp = machine._jitter_pos
-                                    machine.total_accesses -= 1
-                                    machine.total_cycles -= latency
-                                    if state is None:
-                                        state = lines_get(line)
-                                tclock += latency
-                                if pmu is not None:
-                                    if cd > 1:
-                                        cd -= 1
-                                    else:
-                                        countdown[tid] = cd
-                                        extra = pmu.on_access(
-                                            tid, core, addr, False,
-                                            latency, word, tclock)
-                                        if extra:
-                                            tclock += extra
-                                            burst.clock_base += extra
-                                        cd = countdown[tid]
-                            if do_write:
-                                if state is not None and \
-                                        state.dirty_owner == core:
-                                    if jitter:
-                                        if jp >= jn:
-                                            jn = jstream.extend(jp + 1)
-                                        latency = hit_cost + jd[jp]
-                                        jp += 1
-                                    else:
-                                        latency = hit_cost
+                                    latency = hit_cost
+                            else:
+                                # Slow path: full MESI, prefetch and pin
+                                # path. The machine counts the access
+                                # itself and the settle counts every
+                                # access: take it back.
+                                machine._jitter_pos = jp
+                                latency = access_tuple(
+                                    core, addr, False, tclock)[0]
+                                jp = machine._jitter_pos
+                                machine.total_accesses -= 1
+                                machine.total_cycles -= latency
+                                if state is None:
+                                    state = lines_get(line)
+                            tclock += latency
+                            if pmu is not None:
+                                if cd > 1:
+                                    cd -= 1
                                 else:
-                                    machine._jitter_pos = jp
-                                    latency = access_tuple(
-                                        core, addr, True, tclock)[0]
-                                    jp = machine._jitter_pos
-                                    machine.total_accesses -= 1
-                                    machine.total_cycles -= latency
-                                    if state is None:
-                                        state = lines_get(line)
-                                tclock += latency
-                                if pmu is not None:
-                                    if cd > 1:
-                                        cd -= 1
-                                    else:
-                                        countdown[tid] = cd
-                                        extra = pmu.on_access(
-                                            tid, core, addr, True,
-                                            latency, word, tclock)
-                                        if extra:
-                                            tclock += extra
-                                            burst.clock_base += extra
-                                        cd = countdown[tid]
-                            if work:
-                                tclock += work
-                                if pmu is not None:
-                                    if cd > work:
-                                        cd -= work
-                                    else:
-                                        countdown[tid] = cd
-                                        extra = pmu.on_work(
-                                            tid, work, tclock)
-                                        if extra:
-                                            tclock += extra
-                                            burst.clock_base += extra
-                                        cd = countdown[tid]
-                            index += 1
-                        else:
-                            # Completed exactly at the boundary?
-                            done = index >= count and repeat + 1 >= repeats
-                        machine._jitter_pos = jp
-                        thread.clock = tclock
-                        if pmu is not None:
-                            countdown[tid] = cd
-                        burst.index = index
-                        burst.repeat = repeat
-                        if done:
-                            steps += settle(thread, burst)
-                            thread.burst = None
+                                    countdown[tid] = cd
+                                    extra = pmu.on_access(
+                                        tid, core, addr, False, latency,
+                                        word, tclock)
+                                    if extra:
+                                        tclock += extra
+                                        clock_base += extra
+                                    cd = countdown[tid]
+                        if do_write:
+                            if state is not None and \
+                                    state.dirty_owner == core:
+                                if jitter:
+                                    if jp >= jn:
+                                        jn = jstream.extend(jp + 1)
+                                    latency = hit_cost + jd[jp]
+                                    jp += 1
+                                else:
+                                    latency = hit_cost
+                            else:
+                                machine._jitter_pos = jp
+                                latency = access_tuple(
+                                    core, addr, True, tclock)[0]
+                                jp = machine._jitter_pos
+                                machine.total_accesses -= 1
+                                machine.total_cycles -= latency
+                                if state is None:
+                                    state = lines_get(line)
+                            tclock += latency
+                            if pmu is not None:
+                                if cd > 1:
+                                    cd -= 1
+                                else:
+                                    countdown[tid] = cd
+                                    extra = pmu.on_access(
+                                        tid, core, addr, True, latency,
+                                        word, tclock)
+                                    if extra:
+                                        tclock += extra
+                                        clock_base += extra
+                                    cd = countdown[tid]
+                        if work:
+                            tclock += work
+                            if pmu is not None:
+                                if cd > work:
+                                    cd -= work
+                                else:
+                                    countdown[tid] = cd
+                                    extra = pmu.on_work(tid, work, tclock)
+                                    if extra:
+                                        tclock += extra
+                                        clock_base += extra
+                                    cd = countdown[tid]
+                        index += 1
+                    else:
+                        # Completed exactly at the boundary?
+                        done = index >= count and repeat + 1 >= repeats
+                    thread.clock = tclock
+                    if pmu is not None:
+                        countdown[tid] = cd
+                        rec[14] = clock_base
                     if not done:
-                        break  # burst paused at limit; stays runnable
+                        # Paused at the limit: the thread stays runnable.
+                        rec[11] = index
+                        rec[12] = repeat
+                        if not woken and obs is None:
+                            # In-place hand-off: re-seat the record and
+                            # take the next one in one heap operation.
+                            rec[0] = tclock
+                            rec = heappushpop(ready, rec)
+                            continue
+                    else:
+                        # Settle: every iteration issues the same
+                        # accesses and work, so the counters follow from
+                        # the iterations since the last settle and the
+                        # clock's advance since ``clock_base`` (which
+                        # absorbed the PMU overhead).
+                        iters = repeats * count - settled
+                        accesses = (do_read + do_write) * iters
+                        cycles = tclock - clock_base - work * iters
+                        thread.instructions += accesses + work * iters
+                        thread.mem_accesses += accesses
+                        thread.mem_cycles += cycles
+                        machine.total_accesses += accesses
+                        machine.total_cycles += cycles
+                        steps += iters
+                        rec[6] = 0
+                if done:
+                    count = 0
                     if steps > max_steps:
                         self._steps = steps
                         self._raise_max_steps()
                     thread.pending_value = None
+            if not count:
                 try:
                     op = thread.generator.send(thread.pending_value)
                 except StopIteration:
                     woken.extend(self._finish_thread(thread))
                     if thread.parent_tid is None:
                         self._check_leaked_threads(thread)
-                    break
-                thread.pending_value = None
-                kind = type(op)
-                if kind is LoopAccess:
-                    if op.count and op.repeat:
-                        thread.burst = _BurstState(op, thread.clock)
-                elif kind is Load or kind is Store:
-                    access(thread, op.addr, kind is Store, op.size)
-                elif not dispatch(thread, op, woken):
-                    break
-                if thread.clock > limit:
-                    break
+                else:
+                    thread.pending_value = None
+                    kind = type(op)
+                    if kind is LoopAccess:
+                        if op.count and op.repeat:
+                            thread.start_burst(op)
+                            (_, _, _, _, base, stride, count, repeats, work,
+                             do_read, do_write, index, repeat, settled,
+                             clock_base) = rec
+                    elif kind is Load or kind is Store:
+                        machine._jitter_pos = jp
+                        access(thread, op.addr, kind is Store, op.size)
+                        jp = machine._jitter_pos
+                    elif not dispatch(thread, op, woken):
+                        limit = -1  # blocked: the quantum is over
+                    if thread.clock <= limit:
+                        if steps >= max_steps:
+                            self._steps = steps + 1
+                            self._raise_max_steps()
+                        steps += 1
+                        carry = True
+                        continue
 
-            if thread.state is runnable:
-                heapreplace(ready, (thread.clock, tid, thread))
-            else:
-                heappop(ready)
+            # -- the quantum is over: re-seat the record (or drop it if
+            # the thread blocked or finished) and take the next one. --
             if woken:
                 for other in woken:
-                    heappush(ready, (other.clock, other.tid, other))
+                    other.record[0] = other.clock
+                    heappush(ready, other.record)
                 woken.clear()
             if sanitizer is not None:
                 sanitizer.note_quantum(thread)
             if obs is not None:
-                # ``clock`` is the quantum's start (the peeked value).
+                # ``clock`` is the quantum's start (the popped value).
                 obs.note_quantum(thread, clock)
+            if thread.state is runnable:
+                rec[0] = thread.clock
+                rec = heappushpop(ready, rec)
+            else:
+                rec = heappop(ready)
         self._steps = steps
+        machine._jitter_pos = jp
 
         unfinished = [t for t in threads.values()
                       if t.state is not ThreadState.FINISHED]
@@ -510,31 +615,34 @@ class Engine:
                       "kernel_numpy": vector_kernel.HAVE_NUMPY},
         )
 
-    def _settle_burst(self, thread: SimThread, burst: _BurstState) -> int:
-        """Charge the fused body's iterations since the burst's last
-        settle to the thread's and the machine's counters; returns how
-        many there were (simulation steps).
+    def _settle_burst(self, rec: list) -> int:
+        """Charge the fused body's iterations since the last settle of
+        the burst in run record ``rec`` to the thread's and the machine's
+        counters, and mark them charged; returns how many there were
+        (simulation steps).
 
         Every iteration issues the same accesses and work, so the access
         and instruction counts follow from the progress alone, and the
-        access cycles from the clock: its advance since
-        ``burst.clock_base`` (which absorbs PMU overhead as it is
-        charged) less the work cycles.
+        access cycles from the clock: its advance since the record's
+        ``clock_base`` (which absorbs PMU overhead as it is charged)
+        less the work cycles. The fused body in :meth:`run` inlines this
+        when a burst completes.
         """
-        _, _, count, _, work, do_read, do_write = burst.shape
-        progress = burst.repeat * count + burst.index
-        iters = progress - burst.settled
+        (_, _, thread, _, _, _, count, _, work, do_read, do_write, index,
+         repeat, settled, clock_base) = rec
+        progress = repeat * count + index
+        iters = progress - settled
         if iters:
             accesses = (do_read + do_write) * iters
-            cycles = thread.clock - burst.clock_base - work * iters
+            cycles = thread.clock - clock_base - work * iters
             thread.instructions += accesses + work * iters
             thread.mem_accesses += accesses
             thread.mem_cycles += cycles
             machine = self.machine
             machine.total_accesses += accesses
             machine.total_cycles += cycles
-        burst.settled = progress
-        burst.clock_base = thread.clock
+        rec[R_SETTLED] = progress
+        rec[R_CLOCK_BASE] = thread.clock
         return iters
 
     def _raise_max_steps(self) -> None:
@@ -607,6 +715,9 @@ class Engine:
         """Mark ``thread`` finished and wake any joiners."""
         thread.state = ThreadState.FINISHED
         thread.end_clock = thread.clock
+        # The record is about to leave the heap for good: dropping it
+        # frees it and breaks the record/thread reference cycle.
+        thread.record = None
         if self.obs is not None:
             self.obs.on_thread_finish(thread)
         woken = []
@@ -751,7 +862,7 @@ class Engine:
             if extra:
                 thread.clock += extra
 
-    def _run_burst_observed(self, thread: SimThread, limit: float) -> bool:
+    def _run_burst_observed(self, rec: list, limit: float) -> bool:
         """General burst loop: every access goes through the machine's
         (possibly instance-rebound) entry point, then the observer, then
         the PMU, exactly as :meth:`_access` charges a single access.
@@ -762,12 +873,12 @@ class Engine:
         parity test compare them). :meth:`_access`'s bookkeeping is
         inlined with its callees hoisted once per call; the thread's
         clock and counters are still written per access, because the
-        callbacks may read them. Returns True when the burst completed,
+        callbacks may read them. ``rec`` is the thread's run record,
+        unpacked once per call. Returns True when the burst completed,
         False when it paused because the clock passed ``limit``.
         """
-        burst = thread.burst
-        assert burst is not None
-        base, stride, count, repeats, work, do_read, do_write = burst.shape
+        (_, tid, thread, core, base, stride, count, repeats, work, do_read,
+         do_write, index, repeat, _, _) = rec
         word = self.config.word_size
         access_tuple = self.machine.access_tuple
         observer = self.observer
@@ -778,10 +889,6 @@ class Engine:
         if pmu is not None:
             pmu_access = pmu.on_access
             pmu_work = pmu.on_work
-        tid = thread.tid
-        core = thread.core
-        index = burst.index
-        repeat = burst.repeat
         steps = self._steps
         while thread.clock <= limit:
             if index >= count:
@@ -841,13 +948,13 @@ class Engine:
             done = index >= count and repeat + 1 >= repeats
         self._steps = steps
         if done:
-            thread.burst = None
+            rec[R_COUNT] = 0
         else:
-            burst.index = index
-            burst.repeat = repeat
+            rec[R_INDEX] = index
+            rec[R_REPEAT] = repeat
         return done
 
-    def _run_burst_vector(self, thread: SimThread,
+    def _run_burst_vector(self, rec: list,
                           limit: float) -> Optional[bool]:
         """Array-batched burst kernel (see :mod:`repro.sim.kernel`).
 
@@ -861,13 +968,13 @@ class Engine:
         and checkpoint edges — by dropping to the existing per-access
         paths, so every output stays bit-identical to the fused body.
 
-        Returns True when the burst completed, False when it paused at
-        ``limit``, and None when it stopped batching: the burst's
-        progress is saved and the caller's fused body runs on from it.
+        ``rec`` is the thread's run record. Returns True when the burst
+        completed, False when it paused at ``limit``, and None when it
+        stopped batching: the burst's progress is saved in ``rec`` and
+        the caller's fused body runs on from it.
         """
-        burst = thread.burst
-        assert burst is not None
-        tid = thread.tid
+        (_, tid, thread, core, base, stride, count, repeats_total, work,
+         do_read, do_write, index, repeat, _, _) = rec
         miss = self._vector_miss
         if miss.get(tid, 0) >= _VECTOR_ADAPT:
             # This thread's bursts never batch (tiny loops or tight
@@ -876,10 +983,6 @@ class Engine:
             # perf policy.
             return None
 
-        base, stride, count, repeats_total, work, do_read, do_write = \
-            burst.shape
-        index = burst.index
-        repeat = burst.repeat
         left_total = (repeats_total - repeat) * count - index
         min_span = vector_kernel.MIN_SPAN
         # Tiny bursts: the fused scalar loop's constant factor wins;
@@ -902,7 +1005,6 @@ class Engine:
         plan_span = vector_kernel.plan_span
         plan_cache = self._plan_cache
         directory = machine.directory
-        core = thread.core
         word = self.config.word_size
         dec_per_iter = d + work
 
@@ -915,7 +1017,7 @@ class Engine:
                 index = 0
                 repeat += 1
             if repeat >= repeats_total:
-                thread.burst = None
+                rec[R_COUNT] = 0
                 return True
             # Bound the span by everything cheap *before* paying for
             # directory probes: burst remainder, quantum fit, next PMU
@@ -936,8 +1038,8 @@ class Engine:
                 # A PMU fire or the quantum edge is imminent: hand the
                 # tail back to the fused scalar body (exact fire,
                 # boundary and pause bookkeeping for free).
-                burst.index = index
-                burst.repeat = repeat
+                rec[R_INDEX] = index
+                rec[R_REPEAT] = repeat
                 miss[tid] = miss.get(tid, 0) + 1
                 return None
             if d:
@@ -967,8 +1069,8 @@ class Engine:
                     # Nothing here batches (e.g. a contended line the
                     # thread keeps losing): stop replanning per
                     # iteration and let the fused body run the quantum.
-                    burst.index = index
-                    burst.repeat = repeat
+                    rec[R_INDEX] = index
+                    rec[R_REPEAT] = repeat
                     miss[tid] = miss.get(tid, 0) + 1
                     return None
                 escape_run += 1
@@ -1022,16 +1124,15 @@ class Engine:
                 else:
                     repeat += sweeps
                     index = rem
-        burst.index = index
-        burst.repeat = repeat
+        rec[R_INDEX] = index
+        rec[R_REPEAT] = repeat
         # Completed exactly at the boundary?
         if index >= count and repeat + 1 >= repeats_total:
-            thread.burst = None
+            rec[R_COUNT] = 0
             return True
         return False
 
-    def _run_burst_vector_checked(self, thread: SimThread,
-                                  limit: float) -> bool:
+    def _run_burst_vector_checked(self, rec: list, limit: float) -> bool:
         """Checked vector kernel: plan, then prove the plan per access.
 
         Selected by an explicit ``kernel="vector"`` request under the
@@ -1042,49 +1143,48 @@ class Engine:
         mis-charged that span in the fast variant, and raises
         :class:`ValidationError`. Plans are revalidated whenever the
         directory's mutation counter moves (our own escape accesses move
-        it; other threads only run between bursts).
+        it; other threads only run between bursts). ``rec`` is the
+        thread's run record.
         """
-        burst = thread.burst
-        assert burst is not None
+        (_, _, thread, core, base, stride, count, repeats_total, work,
+         do_read, do_write, index, repeat, _, _) = rec
         machine = self.machine
         directory = machine.directory
         pmu = self.pmu
         plan_span = vector_kernel.plan_span
         word = self.config.word_size
-        core = thread.core
-        base, stride, count, repeats_total, work, do_read, do_write = \
-            burst.shape
         d = (1 if do_read else 0) + (1 if do_write else 0)
         planned = 0
         plan_version = -1
         while thread.clock <= limit:
-            if burst.index >= count:
-                burst.index = 0
-                burst.repeat += 1
-            if burst.repeat >= repeats_total:
-                thread.burst = None
+            if index >= count:
+                index = 0
+                repeat += 1
+            if repeat >= repeats_total:
+                rec[R_COUNT] = 0
                 return True
             self._steps += 1
             if d:
                 if plan_version != directory.version:
-                    left_total = ((repeats_total - burst.repeat) * count
-                                  - burst.index)
+                    left_total = (repeats_total - repeat) * count - index
                     planned = plan_span(machine, core, base, stride, count,
-                                        burst.index, left_total, do_write)
+                                        index, left_total, do_write)
                     plan_version = directory.version
                 in_plan = planned > 0
                 planned -= 1
-                addr = base + burst.index * stride
+                addr = base + index * stride
                 if do_read:
                     self._checked_access(thread, addr, False, word, in_plan)
                 if do_write:
                     self._checked_access(thread, addr, True, word, in_plan)
             if work:
                 self._do_work(thread, work)
-            burst.index += 1
-        if burst.index >= count and burst.repeat + 1 >= repeats_total:
-            thread.burst = None
+            index += 1
+        if index >= count and repeat + 1 >= repeats_total:
+            rec[R_COUNT] = 0
             return True
+        rec[R_INDEX] = index
+        rec[R_REPEAT] = repeat
         return False
 
     def _checked_access(self, thread: SimThread, addr: int, is_write: bool,

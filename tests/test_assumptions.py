@@ -112,6 +112,15 @@ class TestMidRunReporting:
         with pytest.raises(ProfilerError):
             CheetahProfiler().report_now()
 
+    def test_report_after_engine_dropped_rejected(self):
+        # The profiler holds its engine weakly (no PMU-handler cycle).
+        from repro.errors import ProfilerError
+        wl, engine, profiler = self._build()
+        engine.run(wl.main)
+        del engine
+        with pytest.raises(ProfilerError, match="no longer exists"):
+            profiler.report_now()
+
     def test_snapshot_does_not_mutate_tracker(self):
         wl, engine, profiler = self._build()
         engine.add_checkpoint(200_000,

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 class TestParser:
@@ -305,6 +310,35 @@ class TestRecordReplay:
         assert main(["replay", trace, "--no-cache", "--json"]) == 1
         data = json_mod.loads(capsys.readouterr().out)
         assert data["verdict"] == "true sharing"
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("command", ["profile", "trace", "metrics",
+                                         "predict"])
+    def test_period_zero_rejected(self, command, tmp_path):
+        # --period 0 used to fall back to the default period (128).
+        from repro.errors import ConfigError
+        argv = [command, "array_increment", "--scale", "0.1",
+                "--period", "0"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "t.json")]
+        with pytest.raises(ConfigError, match="period must be >= 1, got 0"):
+            main(argv)
+
+    @pytest.mark.parametrize("cache", ["--cache", "--no-cache"])
+    def test_replay_missing_trace_is_one_line_error(self, cache, tmp_path):
+        import subprocess
+        import sys
+        missing = str(tmp_path / "absent.trace")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "replay", missing, cache,
+             "--cache-dir", str(tmp_path / "cache")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: cannot read trace file {missing}: "
+            "No such file or directory"]
 
 
 class TestNumaFlags:

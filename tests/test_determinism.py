@@ -14,6 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro.run import run_workload
+from repro.runtime.thread import (
+    R_BASE, R_COUNT, R_INDEX, R_REPEAT, R_THREAD, R_WRITE,
+)
 from repro.sim.engine import Observer
 from repro.sim.params import MachineConfig
 from repro.workloads import iter_workloads
@@ -145,22 +148,24 @@ class _CostedObserver(Observer):
         return None
 
 
-def _per_access_burst(self, thread, limit):
+def _per_access_burst(self, rec, limit):
     """The observed burst loop spelled as one :meth:`Engine._access` per
-    access and one :meth:`Engine._do_work` per work batch: the charging
-    order (machine, thread counters, observer cost and extra cycles, PMU
-    fire timestamp) the inlined loop must reproduce."""
-    burst = thread.burst
-    base, stride, count, repeats, work, do_read, do_write = burst.shape
+    access and one :meth:`Engine._do_work` per work batch, advancing the
+    thread's run record in place: the charging order (machine, thread
+    counters, observer cost and extra cycles, PMU fire timestamp) the
+    inlined loop must reproduce."""
+    thread = rec[R_THREAD]
+    base, stride, count, repeats, work, do_read, do_write = \
+        rec[R_BASE:R_WRITE + 1]
     word = self.config.word_size
     while thread.clock <= limit:
-        if burst.index >= count:
-            burst.index = 0
-            burst.repeat += 1
-        if burst.repeat >= repeats:
-            thread.burst = None
+        if rec[R_INDEX] >= count:
+            rec[R_INDEX] = 0
+            rec[R_REPEAT] += 1
+        if rec[R_REPEAT] >= repeats:
+            rec[R_COUNT] = 0
             return True
-        addr = base + burst.index * stride
+        addr = base + rec[R_INDEX] * stride
         self._steps += 1
         if do_read:
             self._access(thread, addr, False, word)
@@ -168,9 +173,9 @@ def _per_access_burst(self, thread, limit):
             self._access(thread, addr, True, word)
         if work:
             self._do_work(thread, work)
-        burst.index += 1
-    if burst.index >= count and burst.repeat + 1 >= repeats:
-        thread.burst = None
+        rec[R_INDEX] += 1
+    if rec[R_INDEX] >= count and rec[R_REPEAT] + 1 >= repeats:
+        rec[R_COUNT] = 0
         return True
     return False
 

@@ -307,3 +307,102 @@ class TestDeterminism:
         assert r1.runtime == r2.runtime
         assert (r1.machine.directory.total_invalidations()
                 == r2.machine.directory.total_invalidations())
+
+
+def _contended_worker(api, base, n):
+    for _ in range(n):
+        yield from api.loop(base, 8, 4, repeat=2, work=3)
+        yield from api.update(base)
+
+
+def _contended_main(api):
+    buf = yield from api.malloc(64)
+    tids = []
+    for i in range(4):
+        tids.append((yield from api.spawn(_contended_worker, buf + 8 * i, 5)))
+    yield from api.join_all(tids)
+
+
+class TestRunRecords:
+    """Each thread's run record is its heap entry and holds its burst."""
+
+    @staticmethod
+    def _raise_step(max_steps, lean=True):
+        """The step ``max_steps`` trips at on the fused kernel, or None.
+        A checkpoint past the program's end leaves the schedule alone but
+        keeps every quantum off the lean path."""
+        import re
+        engine = Engine(machine=Machine(MachineConfig(kernel="fused"),
+                                        jitter_seed=3),
+                        max_steps=max_steps)
+        if not lean:
+            engine.add_checkpoint(10 ** 12, lambda e, now: None)
+        try:
+            engine.run(_contended_main)
+        except SimulationError as exc:
+            return int(re.search(r"at step (\d+)", str(exc)).group(1))
+        return None
+
+    def test_max_steps_raises_at_the_same_step_on_the_lean_path(self):
+        # Pinned before run records existed; a bound that falls inside a
+        # burst settles at the burst's end (e.g. 8 trips at 16).
+        assert [self._raise_step(k) for k in range(1, 349, 7)] == [
+            2, 16, 16, 27, 30, 38, 44, 54, 58, 65, 72, 84, 86, 93, 103,
+            114, 114, 121, 129, 135, 142, 153, 156, 169, 170, 177, 185,
+            191, 198, 207, 212, 223, 226, 239, 240, 247, 261, 261, 268,
+            277, 282, 293, 296, 303, 315, 317, 330, 331, 344, 345]
+        assert self._raise_step(348) is None
+        for k in range(1, 348):
+            assert self._raise_step(k) == self._raise_step(k, lean=False), k
+
+    @pytest.mark.parametrize("profiled", [False, True],
+                             ids=["native", "profiled"])
+    def test_dropped_outcome_leaves_no_thread_alive(self, profiled):
+        """Records and threads point at each other until a thread
+        finishes, and a profiler's handler sits on its engine's PMU;
+        nothing may wait for a GC pass to free a run."""
+        import gc
+        from repro.run import run_workload
+        from repro.runtime.thread import SimThread
+        from repro.workloads import get_workload
+
+        def alive():
+            return sum(type(o) is SimThread for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = alive()
+            outcome = run_workload(
+                get_workload("linear_regression")(num_threads=16,
+                                                  scale=0.05),
+                jitter_seed=11, with_cheetah=profiled)
+            assert alive() == before + 17
+            del outcome
+            assert alive() == before
+        finally:
+            gc.enable()
+
+    def test_stale_heap_entry_caught_in_check_mode(self):
+        """A checkpoint callback that moves a waiting thread's clock
+        breaks the heap invariant the scheduler relies on; check mode
+        reports it at that thread's next quantum."""
+        from repro.errors import ValidationError
+        from repro.runtime.thread import ThreadState
+        corrupted = []
+
+        def corrupt(engine, now):
+            for thread in engine.threads.values():
+                if thread.state is ThreadState.RUNNABLE and \
+                        thread.clock > now:
+                    thread.clock += 1000
+                    corrupted.append(thread.tid)
+                    return
+
+        engine = Engine(machine=Machine(MachineConfig(), jitter_seed=3,
+                                        check=True))
+        engine.add_checkpoint(2000, corrupt)
+        with pytest.raises(ValidationError) as info:
+            engine.run(_contended_main)
+        assert corrupted
+        assert info.value.invariant == "heap-entry-clock"

@@ -2,15 +2,15 @@
 
 Covers the batch planner, kernel selection, fused-vs-vector
 bit-identity (including the final jitter-stream position), the checked
-variant, the vector mutation self-test, and the `_BurstState`
-positivity invariant.
+variant, the vector mutation self-test, and the burst positivity
+invariant of the thread's run record.
 """
 
 import pytest
 
 from repro.errors import SimulationError, ValidationError
 from repro.pmu.sampler import PMU, PMUConfig
-from repro.runtime.thread import _BurstState
+from repro.runtime.thread import R_BASE, SimThread
 from repro.sim import kernel
 from repro.sim.engine import Engine, Observer
 from repro.sim.machine import Machine
@@ -189,28 +189,38 @@ class TestVectorMutationSelftest:
 
 
 class TestBurstStateInvariants:
+    @staticmethod
+    def _thread():
+        return SimThread(tid=3, core=1, generator=iter(()), start_clock=40)
+
     def test_positive_extents_accepted(self):
-        state = _BurstState(LoopAccess(0x100, 8, 4, repeat=2))
-        assert state.shape == (0x100, 8, 4, 2, 0, True, True)
-        assert state.index == 0 and state.repeat == 0
+        thread = self._thread()
+        thread.start_burst(LoopAccess(0x100, 8, 4, repeat=2))
+        # shape, then progress (index, repeat, settled) and clock_base
+        assert thread.record[R_BASE:] == [0x100, 8, 4, 2, 0, True, True,
+                                          0, 0, 0, 40]
+        assert thread.record[:4] == [40, 3, thread, 1]
 
     @pytest.mark.parametrize("count,repeat", [(0, 5), (5, 0), (0, 0)])
     def test_zero_extents_rejected(self, count, repeat):
         op = LoopAccess(0x100, 8, 1, repeat=1)
         op.count = count
         op.repeat = repeat
+        thread = self._thread()
         with pytest.raises(SimulationError, match="positive extents"):
-            _BurstState(op)
+            thread.start_burst(op)
+        assert thread.record[R_BASE:] == [0, 0, 0, 0, 0, False, False,
+                                          0, 0, 0, 0]
 
     def test_negative_extents_rejected(self):
         op = LoopAccess(0x100, 8, 1, repeat=1)
         op.count = -3
         with pytest.raises(SimulationError, match="positive extents"):
-            _BurstState(op)
+            self._thread().start_burst(op)
 
     def test_zero_trip_loops_stay_noops(self):
-        # The engine filters zero-trip loops before building burst
-        # state, so programs using them still run (and do nothing).
+        # The engine filters zero-trip loops before starting a burst,
+        # so programs using them still run (and do nothing).
         def program(api):
             buf = yield from api.malloc(64)
             yield from api.loop(buf, 8, 0, repeat=5)
